@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -69,9 +68,6 @@ def query_signature(bundle: QueryBundle) -> dict:
         "supports": tuple(tuple(1 if v else 0 for v in row) for row in sq.betas),
         "shape": shape,
     }
-
-
-_trial_rng = derive_rng
 
 
 def _tv(counts_a: Counter, counts_b: Counter, n: int) -> float:
@@ -295,33 +291,24 @@ def signature_tallies(k: int, d: int, n_servers: int, field: PrimeField,
                       support, coeffs, samples: int, seed, label: str,
                       overrides: RunOverrides = RunOverrides(),
                       limits: GuardLimits = DEFAULT_LIMITS,
-                      workers: int = 4) -> dict[str, Counter]:
-    """Component tallies over fresh seeded query builds, merged over workers.
+                      workers: int = 1) -> dict[str, Counter]:
+    """Component tallies over fresh seeded query builds.
 
-    Trial i uses rng hash(seed | label | i); the merge is a commutative sum,
-    so the result does not depend on scheduling.
+    Trial i uses rng hash(seed | label | i), so the tallies depend only on
+    the arguments.  The builds hold the interpreter lock, so the loop runs
+    in the calling thread; ``workers`` is accepted for older callers and
+    ignored.
     """
-    def run_chunk(lo: int, hi: int) -> dict[str, Counter]:
-        local = {name: Counter() for name in SIGNATURE_COMPONENTS}
-        for i in range(lo, hi):
-            rng = _trial_rng(seed, label, i)
-            cs = coeffs if coeffs is not None else tuple(
-                field.rand_nonzero(rng) for _ in range(d))
-            bundle = build_query(Demand(support, cs, field), k, n_servers, rng,
-                                 overrides=overrides, limits=limits)
-            sig = query_signature(bundle)
-            for name in SIGNATURE_COMPONENTS:
-                local[name][sig[name]] += 1
-        return local
-
-    workers = max(1, min(workers, samples))
-    step = (samples + workers - 1) // workers
-    bounds = [(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
     tallies = {name: Counter() for name in SIGNATURE_COMPONENTS}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(lambda b: run_chunk(*b), bounds):
-            for name in SIGNATURE_COMPONENTS:
-                tallies[name].update(part[name])
+    for i in range(samples):
+        rng = derive_rng(seed, label, i)
+        cs = coeffs if coeffs is not None else tuple(
+            field.rand_nonzero(rng) for _ in range(d))
+        bundle = build_query(Demand(support, cs, field), k, n_servers, rng,
+                             overrides=overrides, limits=limits)
+        sig = query_signature(bundle)
+        for name in SIGNATURE_COMPONENTS:
+            tallies[name][sig[name]] += 1
     return tallies
 
 
@@ -330,7 +317,7 @@ def tv_privacy_test(k: int, d: int, n_servers: int, field: PrimeField,
                     threshold: float = 0.05,
                     overrides: RunOverrides = RunOverrides(),
                     limits: GuardLimits = DEFAULT_LIMITS,
-                    workers: int = 4) -> PrivacyReport:
+                    workers: int = 1) -> PrivacyReport:
     """Empirical distinguishability of two demands from one server's view.
 
     Each demand is a support or a (support, coeffs) pair; omitted
@@ -345,7 +332,8 @@ def tv_privacy_test(k: int, d: int, n_servers: int, field: PrimeField,
     to certify privacy.
 
     Also runs the deterministic structural checks so the report carries the
-    whole privacy story for the parameter point.
+    whole privacy story for the parameter point.  ``workers`` is ignored, as
+    in ``signature_tallies``.
     """
     f_count = comb(k, d)
     if field.q ** max(k, f_count) > _MAX_SIGNATURE_SPACE:
@@ -355,9 +343,9 @@ def tv_privacy_test(k: int, d: int, n_servers: int, field: PrimeField,
     support_b, coeffs_b = _normalize_demand(demand_b, d)
 
     probe_coeffs = coeffs_a if coeffs_a is not None else tuple(
-        field.rand_nonzero(_trial_rng(seed, "probe", 0)) for _ in range(d))
+        field.rand_nonzero(derive_rng(seed, "probe", 0)) for _ in range(d))
     probe = build_query(Demand(support_a, probe_coeffs, field), k, n_servers,
-                        _trial_rng(seed, "probe", 1),
+                        derive_rng(seed, "probe", 1),
                         overrides=overrides, limits=limits)
     structure = check_support_structure(probe.spec, probe.table, field)
     shape = check_shape_independence(n_servers, f_count, k - d + 1,
@@ -369,9 +357,9 @@ def tv_privacy_test(k: int, d: int, n_servers: int, field: PrimeField,
     }
 
     tallies_a = signature_tallies(k, d, n_servers, field, support_a, coeffs_a,
-                                  samples, seed, "side0", overrides, limits, workers)
+                                  samples, seed, "side0", overrides, limits)
     tallies_b = signature_tallies(k, d, n_servers, field, support_b, coeffs_b,
-                                  samples, seed, "side1", overrides, limits, workers)
+                                  samples, seed, "side1", overrides, limits)
     components = {name: _tv(tallies_a[name], tallies_b[name], samples)
                   for name in SIGNATURE_COMPONENTS}
     return PrivacyReport(all(detail.values()), detail, support_a, support_b,

@@ -14,7 +14,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from . import audit as audit_mod
@@ -24,9 +23,8 @@ from .engine import (Database, RunOverrides, build_query, build_transcript,
                      derive_rng, mds_check, recover_demand, required_symbols,
                      run_plt)
 from .fields import field_new
-from .grs import Demand, build_q_vectors, build_secret, build_function_table, y_coefficients
-from .wire import (DEFAULT_PORT, PltServer, client_run, push_database,
-                   resolve_bind)
+from .grs import Demand, y_coefficients
+from .wire import DEFAULT_PORT, PltServer, client_run, resolve_bind
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:

@@ -87,9 +87,6 @@ class PrimeField:
     def elements(self) -> Iterable[int]:
         return range(self.q)
 
-    def rand(self, rng) -> int:
-        return rng.randrange(self.q)
-
     def rand_nonzero(self, rng) -> int:
         return rng.randrange(1, self.q)
 
@@ -226,14 +223,6 @@ class Poly:
         if len(self.coeffs) > length:
             raise ValueError(f"polynomial of degree {self.degree} does not fit in {length} coefficients")
         return self.coeffs + (0,) * (length - len(self.coeffs))
-
-
-def poly_from_roots(roots: Sequence[int], field: PrimeField) -> Poly:
-    return Poly.from_roots(roots, field)
-
-
-def poly_eval(p: Poly, x: int) -> int:
-    return p.eval(x)
 
 
 @dataclass

@@ -5,8 +5,12 @@ having S = N^F symbols, the plan queries sums of masked symbols in F rounds:
 round t asks signed t-wise sums, pairing one fresh starred symbol with a
 (t-1)-wise sum already downloaded from another server, plus fresh sums that
 avoid the starred function entirely.  Rank deficiency of the function table
-makes part of that structure redundant; a greedy rank pass removes it, which
-brings the per-server download to exactly S * (1/N + ... + 1/N^r) symbols.
+makes part of that structure redundant, in a fixed pattern (Sun and Jafar,
+"The Capacity of Private Computation"): round t keeps the t-subsets of
+functions that meet the first r, and each dropped row is a combination of
+kept ones read off in closed form from the coordinates of the coefficient
+rows over the first r.  That brings the per-server download to exactly
+S * (1/N + ... + 1/N^r) symbols.
 
 Index conventions: functions and symbols are 0-based here.  A "slot" is a
 masked symbol index; the mask maps it to the raw position all functions share.
@@ -14,13 +18,13 @@ masked symbol index; the mask maps it to the raw position all functions share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
-import numpy as np
-
-from .fields import PrimeField, matrix_rank
+from .fields import PrimeField, gaussian_solve, matrix_rank
 
 
 class SizeGuard(ValueError):
@@ -48,17 +52,33 @@ class GuardLimits:
 DEFAULT_LIMITS = GuardLimits()
 
 
+# Peak bytes per pre-elimination row of one server's plan (its cells and
+# kept expression included) and per certificate term: a non-negative
+# least-squares fit to tracemalloc peaks of build_query, 64-bit CPython 3.11.
+_ROW_BYTES, _CERT_TERM_BYTES = 1030, 190
+
+
+def plan_bytes(n_servers: int, f_count: int, rank: int) -> int:
+    """Predicted peak memory of one query build, from closed-form counts:
+    C(F, t) (N-1)^(t-1) rows per server in round t, and at most
+    C(t + r, r) - 1 certificate terms per dropped type of size t."""
+    rows = sum(comb(f_count, t) * (n_servers - 1) ** (t - 1)
+               for t in range(1, f_count + 1))
+    cert_terms = sum(comb(f_count - rank, t) * (comb(t + rank, rank) - 1)
+                     for t in range(1, f_count - rank + 1))
+    return n_servers * rows * _ROW_BYTES + cert_terms * _CERT_TERM_BYTES
+
+
 def check_size_guard(n_servers: int, f_count: int, rank: int,
                      limits: GuardLimits = DEFAULT_LIMITS) -> int:
     """Validate (N, F, r) against the budget; returns S = N^F."""
     if f_count > limits.max_functions:
         raise SizeGuard(f"{f_count} functions exceeds the limit of {limits.max_functions}")
-    s = n_servers ** f_count
-    if rank * s * 8 > limits.max_plan_bytes:
+    need = plan_bytes(n_servers, f_count, rank)
+    if need > limits.max_plan_bytes:
         raise SizeGuard(
-            f"plan needs {rank * s * 8} bytes of symbol state, "
-            f"budget is {limits.max_plan_bytes}")
-    return s
+            f"plan needs about {need} bytes, budget is {limits.max_plan_bytes}")
+    return n_servers ** f_count
 
 
 @dataclass(frozen=True)
@@ -95,7 +115,7 @@ def build_mask(s: int, rng) -> SymbolMask:
     return SymbolMask(tuple(perm), signs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expression:
     """One transmitted query row: signed sum of raw function symbols.
 
@@ -107,7 +127,7 @@ class Expression:
     t: int
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class PlanRow:
     """Internal pre-elimination row.
 
@@ -161,7 +181,6 @@ class RoundPattern:
     types: tuple[tuple[int, ...], ...]
     kept: list[bool]
     certificates: dict[int, list[tuple[int, int]]]
-    instances: int
 
 
 @dataclass
@@ -183,20 +202,12 @@ class PcPlan:
         return self.mask.s
 
 
-@dataclass(frozen=True)
-class PcAnswer:
-    """Per-server evaluation results, aligned with the plan's expressions."""
-
-    symbols: tuple[int, ...]
-
-
 def generate_full_blocks(n_servers: int, f_count: int, f_star: int, mask: SymbolMask,
-                         rng=None, limits: GuardLimits = DEFAULT_LIMITS) -> BlockStructure:
+                         limits: GuardLimits = DEFAULT_LIMITS) -> BlockStructure:
     """Build the symmetric pre-elimination structure for all servers.
 
     The construction is deterministic given (N, F, f_star); randomness enters
-    only through the mask, so ``rng`` is accepted for interface symmetry but
-    never drawn from.
+    only through the mask.
 
     Round 1 gives each server one fresh slot carrying a singleton of every
     function.  Round t >= 2 gives server n one fresh slot per off-star
@@ -284,124 +295,94 @@ def generate_full_blocks(n_servers: int, f_count: int, f_star: int, mask: Symbol
     return BlockStructure(n_servers, f_count, f_star, mask, rounds)
 
 
-def _round_rows_abstract(betas: Sequence[Sequence[int]], f_star: int, t: int,
-                         q: int) -> tuple[list[tuple[int, ...]], list[list[int]], int]:
-    """Reduced per-instance row vectors for round t.
+@lru_cache(maxsize=64)
+def _round_skeleton(f_count: int, rank: int, t: int):
+    """The star-free part of round t: types, kept flags, certificate terms.
 
-    Columns are (off-star (t-1)-subset) x rank coordinates.  Starred rows
-    reduce, modulo everything downloadable in earlier rounds, to the starred
-    coefficient vector at their own slot; off-star rows are their fresh cells.
+    Kept types are the t-subsets meeting {0..rank-1}.  A dropped type
+    T = {g_1 < ... < g_t} takes its certificate from the expansion of
+    w_{g_1} ^ ... ^ w_{g_t}, w_g = e_g - sum_i c[g][i] e_i: swapping the
+    members at positions J for columns I gives the type I + (T - J) with
+    coefficient (-1)^(sum J - |J|(|J|-1)/2 + |J|) det C[T_J, I].  Terms are
+    (kept type position, (T_J, I), that sign), per dropped position.
     """
+    types = tuple(combinations(range(f_count), t))
+    kept = tuple(tt[0] < rank for tt in types)
+    pos_of = {tt: p for p, tt in enumerate(types)}
+    minor_keys: dict = {}  # one key tuple per minor, shared by all its terms
+    drops = []
+    for p, tt in enumerate(types):
+        if kept[p]:
+            continue
+        terms = []
+        for k in range(1, min(t, rank) + 1):
+            for at in combinations(range(t), k):
+                rows = tuple(tt[j] for j in at)
+                rest = tuple(g for j, g in enumerate(tt) if j not in at)
+                sign = -1 if (sum(at) - k * (k - 1) // 2 + k) % 2 else 1
+                for cols in combinations(range(rank), k):
+                    key = minor_keys.setdefault((rows, cols), (rows, cols))
+                    terms.append((pos_of[cols + rest], key, sign))
+        drops.append((p, tuple(terms)))
+    return types, kept, tuple(drops)
+
+
+def _basis_coords(betas: Sequence[Sequence[int]], basis: Sequence[int],
+                  field: PrimeField) -> list[list[int]] | None:
+    """Coordinates of every beta row over the rows ``basis``, one solve;
+    None when those rows are dependent."""
+    report = gaussian_solve([betas[g] for g in basis], betas, field)
+    if report.rank != len(basis):
+        return None
+    return [res.combination for res in report.results]
+
+
+def _minors(coords: Sequence[Sequence[int]], rank: int, q: int) -> dict:
+    """det C[G, I] mod q for G in {rank..F-1}, I in {0..rank-1} of equal
+    size, C[g][i] = coords[g][i]; first-row expansion, the empty minor is 1."""
+    det = {((), ()): 1}
+    for k in range(1, min(rank, len(coords) - rank) + 1):
+        for rows in combinations(range(rank, len(coords)), k):
+            for cols in combinations(range(rank), k):
+                det[rows, cols] = sum(
+                    (-1) ** m * coords[rows[0]][i] * det[rows[1:], cols[:m] + cols[m + 1:]]
+                    for m, i in enumerate(cols)) % q
+    return det
+
+
+def _biased_singletons(betas: Sequence[Sequence[int]], keep_bias: int,
+                       field: PrimeField) -> RoundPattern:
+    """Test hook: round 1 keeps the first rank-adding singletons from
+    ``keep_bias`` on, so the kept set follows the star; the audit power
+    checks must catch that leak."""
     f_count = len(betas)
-    r = len(betas[0])
-    others = [g for g in range(f_count) if g != f_star]
-    subs = list(combinations(others, t - 1))
-    col_of = {sub: i for i, sub in enumerate(subs)}
-    width = len(subs) * r
-    types = list(combinations(range(f_count), t))
-    rows = []
-    for tt in types:
-        vec = [0] * width
-        if f_star in tt:
-            sub = tuple(g for g in tt if g != f_star)
-            base = col_of[sub] * r
-            for i in range(r):
-                vec[base + i] = betas[f_star][i] % q
-        else:
-            for pos, u in enumerate(tt):
-                rest = tuple(g for g in tt if g != u)
-                base = col_of[rest] * r
-                sign = 1 if pos % 2 == 0 else -1
-                for i in range(r):
-                    vec[base + i] = (vec[base + i] + sign * betas[u][i]) % q
-        rows.append(vec)
-    return types, rows, width
-
-
-def _greedy_python(rows: list[list[int]], order: Sequence[int], q: int):
-    width = len(rows[0]) if rows else 0
-    basis: list[tuple[int, list[int], dict[int, int]]] = []
-    kept = [False] * len(rows)
-    certs: dict[int, list[tuple[int, int]]] = {}
-    for pos in order:
-        vec = list(rows[pos])
-        combo = {pos: 1}
-        for pcol, bvec, bcombo in basis:
-            c = vec[pcol]
-            if c:
-                for i in range(width):
-                    vec[i] = (vec[i] - c * bvec[i]) % q
-                for kpos, kc in bcombo.items():
-                    combo[kpos] = (combo.get(kpos, 0) - c * kc) % q
-        pivot = next((i for i, v in enumerate(vec) if v), None)
-        if pivot is None:
-            certs[pos] = [(kp, (-co) % q) for kp, co in combo.items()
-                          if kp != pos and co % q]
-        else:
-            inv = pow(vec[pivot], -1, q)
-            vec = [(v * inv) % q for v in vec]
-            combo = {kp: (co * inv) % q for kp, co in combo.items()}
-            basis.append((pivot, vec, combo))
-            kept[pos] = True
-    return kept, certs
-
-
-def _greedy_numpy(rows: list[list[int]], order: Sequence[int], q: int):
-    n_rows = len(rows)
-    width = len(rows[0]) if rows else 0
-    kept = [False] * n_rows
-    certs: dict[int, list[tuple[int, int]]] = {}
-    pivots: list[tuple[int, np.ndarray]] = []
-    for pos in order:
-        vec = np.zeros(width + n_rows, dtype=np.int64)
-        vec[:width] = rows[pos]
-        vec[width + pos] = 1
-        for pcol, pvec in pivots:
-            c = int(vec[pcol])
-            if c:
-                vec = (vec - c * pvec) % q
-        nz = np.nonzero(vec[:width])[0]
-        if nz.size == 0:
-            combo = vec[width:]
-            certs[pos] = [(int(kp), int((-combo[kp]) % q))
-                          for kp in np.nonzero(combo)[0] if kp != pos]
-        else:
-            pivot = int(nz[0])
-            vec = (vec * pow(int(vec[pivot]), -1, q)) % q
-            pivots.append((pivot, vec))
-            kept[pos] = True
-    return kept, certs
-
-
-def _round_pattern(betas: Sequence[Sequence[int]], f_star: int, t: int,
-                   instances: int, q: int, keep_bias: int = 0) -> RoundPattern:
-    types, rows, width = _round_rows_abstract(betas, f_star, t, q)
-    order = list(range(len(types)))
-    if keep_bias and t == 1:
-        # test hook: demand-dependent processing order (breaks the shape
-        # symmetry on purpose; see the audit power checks)
-        order = order[keep_bias % len(order):] + order[:keep_bias % len(order)]
-    if len(rows) * len(rows) * max(width, 1) > 2_000_000:
-        kept, certs = _greedy_numpy(rows, order, q)
-    else:
-        kept, certs = _greedy_python(rows, order, q)
-    return RoundPattern(tuple(types), kept, certs, instances)
+    chosen: list[int] = []
+    for g in sorted(range(f_count), key=lambda g: (g - keep_bias) % f_count):
+        if matrix_rank([betas[h] for h in chosen + [g]], field) > len(chosen):
+            chosen.append(g)
+    coords = _basis_coords(betas, chosen, field)
+    certs = {g: [(b, c) for b, c in zip(chosen, coords[g]) if c]
+             for g in range(f_count) if g not in chosen}
+    return RoundPattern(tuple((g,) for g in range(f_count)),
+                        [g in chosen for g in range(f_count)], certs)
 
 
 def eliminate_redundancy(blocks: BlockStructure, betas: Sequence[Sequence[int]],
                          rank: int, field: PrimeField,
                          limits: GuardLimits = DEFAULT_LIMITS,
                          keep_bias: int = 0) -> PcPlan:
-    """Greedy rank pass over the canonical row order; builds the final plan.
+    """Drop the redundant rows in closed form; builds the final plan.
 
-    A row is kept iff it adds rank over the kept rows before it, counting as
-    already known everything the other servers deliver in earlier rounds.
-    Because each block's fresh slots are disjoint from every other block and
-    earlier-round rows span the same space whether or not they were kept, the
-    decision reduces to an identical small system per round, replicated over
-    servers and side-information instances; that system is what gets solved
-    here.  The kept total must land exactly on S * sum_{t<=r} N^-t per
-    server, anything else raises InternalInvariant.
+    Every block's fresh slots are disjoint from every other block's, and
+    earlier-round rows span the same space whether or not they were kept,
+    so each round is one small system replicated over servers and
+    side-information instances.  beta_0..beta_{r-1} must be a basis (for GRS
+    tables it is the Lagrange basis on the last r evaluation points; else
+    InternalInvariant).  Then round t keeps the t-subsets meeting {0..r-1}:
+    they come first in the canonical order and are independent, so a greedy
+    rank pass would keep the same.  Dropped types get their certificates in
+    closed form (``_round_skeleton``).  The kept total must land exactly on
+    S * sum_{t<=r} N^-t per server, anything else raises InternalInvariant.
     """
     n_servers = blocks.n_servers
     f_count = blocks.f_count
@@ -409,16 +390,29 @@ def eliminate_redundancy(blocks: BlockStructure, betas: Sequence[Sequence[int]],
     betas = tuple(tuple(b % q for b in row) for row in betas)
     if len(betas) != f_count or any(len(row) != rank for row in betas):
         raise ValueError(f"need {f_count} coefficient rows of length {rank}")
-    got_rank = matrix_rank(betas, field)
-    if got_rank != rank:
-        raise ValueError(f"coefficient rows have rank {got_rank}, expected {rank}")
-    s_total = check_size_guard(n_servers, f_count, rank, limits)
+    # rows of length r spanned by r independent rows have rank exactly r, so
+    # the full rank is needed only to word the refusal
+    coords = _basis_coords(betas, range(rank), field)
+    if coords is None:
+        got_rank = matrix_rank(betas, field)
+        if got_rank != rank:
+            raise ValueError(f"coefficient rows have rank {got_rank}, expected {rank}")
+        raise InternalInvariant(f"coefficient rows 0..{rank - 1} are not a basis")
+    check_size_guard(n_servers, f_count, rank, limits)
 
+    det = _minors(coords, rank, q)
     patterns: list[RoundPattern] = []
     for t in range(1, f_count + 1):
-        instances = (n_servers - 1) ** (t - 1)
-        patterns.append(_round_pattern(betas, blocks.f_star, t, instances, q,
-                                       keep_bias=keep_bias))
+        types, kept, drops = _round_skeleton(f_count, rank, t)
+        # a starred row is its exterior row times (-1)^(position of the star)
+        sign = [-1 if blocks.f_star in tt and tt.index(blocks.f_star) % 2 else 1
+                for tt in types]
+        certs = {p: [(u, lam) for u, minor, s in terms
+                     if (lam := -s * sign[p] * sign[u] * det[minor] % q)]
+                 for p, terms in drops}
+        patterns.append(RoundPattern(types, list(kept), certs))
+    if keep_bias % f_count:
+        patterns[0] = _biased_singletons(betas, keep_bias, field)
 
     mask = blocks.mask
     per_server: list[list[Expression]] = []

@@ -33,6 +33,8 @@ MSG_LOAD_DB = 0x04
 DEFAULT_PORT = 7311
 BIND_ENV = "PLT_BIND"
 MAX_PAYLOAD = 256 * 1024 * 1024
+_READ_CHUNK = 1 << 20
+_TERM = struct.Struct("<IIQ")  # function, symbol, coefficient
 
 ERR_NO_DATABASE = 1
 ERR_BAD_REQUEST = 2
@@ -108,6 +110,12 @@ def encode_query(sq: ServerQuery) -> bytes:
     return _frame(MSG_QUERY, b"".join(parts))
 
 
+def query_frame_size(sq: ServerQuery) -> int:
+    """``len(encode_query(sq))``, counted without encoding."""
+    return (9 + 24 + 8 * sq.r * sq.k + 8 * sq.f_count * sq.r + 4
+            + sum(4 + 16 * len(expr.terms) for expr in sq.expressions))
+
+
 def decode_query(payload: bytes) -> ServerQuery:
     rd = _Reader(payload)
     q = rd.u64()
@@ -124,14 +132,10 @@ def decode_query(payload: bytes) -> ServerQuery:
         n_terms = rd.u32()
         if n_terms < 1 or n_terms > f_count:
             raise Malformed(f"expression with {n_terms} terms")
-        terms = []
-        for _ in range(n_terms):
-            g, sym = rd.u32(), rd.u32()
-            coeff = rd.u64()
-            if g >= f_count or sym >= s or not (0 < coeff < q):
-                raise Malformed("expression term out of range")
-            terms.append((g, sym, coeff))
-        expressions.append(Expression(tuple(terms), n_terms))
+        terms = tuple(_TERM.iter_unpack(rd.take(_TERM.size * n_terms)))
+        if any(g >= f_count or sym >= s or not (0 < coeff < q) for g, sym, coeff in terms):
+            raise Malformed("expression term out of range")
+        expressions.append(Expression(terms, n_terms))
     rd.done()
     if any(v >= q for row in q_vectors for v in row):
         raise Malformed("query vector entry not reduced")
@@ -186,13 +190,25 @@ def decode_database(payload: bytes) -> Database:
     return Database(rows, field)
 
 
-def read_frame(stream) -> tuple[int, bytes]:
+def _read_upto(stream, n: int) -> bytearray:
+    """Up to ``n`` bytes, fewer only if the stream ends.  The buffer grows
+    as bytes arrive, so a declared length costs no memory until it is sent."""
+    buf = bytearray()
+    while len(buf) < n:
+        chunk = stream.read(min(n - len(buf), _READ_CHUNK))
+        if not chunk:
+            break
+        buf += chunk
+    return buf
+
+
+def read_frame(stream) -> tuple[int, bytearray]:
     """Next (type, payload) from a file-like byte stream.
 
     EOFError on clean end-of-stream before any byte of a frame; Malformed on
     a torn or alien frame; Overflow when the declared length is over budget.
     """
-    head = stream.read(9)
+    head = _read_upto(stream, 9)
     if len(head) == 0:
         raise EOFError
     if len(head) < 9:
@@ -203,12 +219,9 @@ def read_frame(stream) -> tuple[int, bytes]:
     (length,) = struct.unpack("<I", head[5:9])
     if length > MAX_PAYLOAD:
         raise Overflow(f"frame of {length} bytes exceeds {MAX_PAYLOAD}")
-    payload = b""
-    while len(payload) < length:
-        chunk = stream.read(length - len(payload))
-        if not chunk:
-            raise Malformed("stream ended mid-payload")
-        payload += chunk
+    payload = _read_upto(stream, length)
+    if len(payload) < length:
+        raise Malformed("stream ended mid-payload")
     return msg_type, payload
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from fractions import Fraction
@@ -89,6 +90,23 @@ def test_build_query_validation():
     with pytest.raises(SizeGuard):
         build_query(Demand((1,), (1,), GF5), 4, 2, random.Random(0),
                     limits=GuardLimits(max_functions=3))
+
+
+def test_build_query_restores_the_collector():
+    demand = Demand((1, 3), (2, 1), GF5)
+    assert gc.isenabled()
+    build_query(demand, 4, 2, random.Random(5))
+    assert gc.isenabled()
+    with pytest.raises(SizeGuard):
+        build_query(demand, 4, 2, random.Random(0),
+                    limits=GuardLimits(max_functions=3))
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        build_query(demand, 4, 2, random.Random(5))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_break_switches_pin_randomness():

@@ -1,14 +1,19 @@
 import random
+import time
+import tracemalloc
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
-from pltkit.fields import field_new
-from pltkit.plan import (BadIndex, GuardLimits, SizeGuard, SymbolMask,
-                         Undecodable, build_mask, check_size_guard,
+from pltkit.engine import build_query
+from pltkit.fields import field_new, matrix_rank
+from pltkit.grs import Demand
+from pltkit.plan import (BadIndex, GuardLimits, InternalInvariant, SizeGuard,
+                         SymbolMask, Undecodable, build_mask, check_size_guard,
                          eliminate_redundancy, generate_full_blocks,
-                         pc_answer, pc_decode)
+                         pc_answer, pc_decode, plan_bytes)
 
 GF5 = field_new(5)
 
@@ -18,12 +23,18 @@ EX_BETAS = ((4, 2), (3, 1), (1, 4), (0, 3))
 
 
 def generic_betas(f_count, rank, field, rng):
-    """Rank-``rank`` coefficient table: geometric rows on distinct points."""
-    points = rng.sample(range(1, field.q), f_count)
-    return tuple(
-        tuple((field.rand_nonzero(rng) * pow(p, i, field.q)) % field.q
-              for i in range(rank))
-        for p in points)
+    """Random rank-``rank`` coefficient table: each entry a random nonzero
+    multiple of a power of the row's point, points distinct.  Redrawn while
+    rows 0..rank-1 are dependent, the one table shape the plan refuses;
+    later rows may still have dependent subsets."""
+    while True:
+        points = rng.sample(range(1, field.q), f_count)
+        betas = tuple(
+            tuple((field.rand_nonzero(rng) * pow(p, i, field.q)) % field.q
+                  for i in range(rank))
+            for p in points)
+        if matrix_rank(betas[:rank], field) == rank:
+            return betas
 
 
 def identity_mask(s):
@@ -80,6 +91,33 @@ def test_size_guard():
         check_size_guard(2, 4, 2, GuardLimits(max_functions=3))
     with pytest.raises(SizeGuard):
         check_size_guard(2, 4, 2, GuardLimits(max_plan_bytes=8))
+
+
+def test_size_guard_accepts_grids_and_refuses_f20():
+    # every tier-1 rate-grid point and every benchmark point fits the budget
+    for n in (2, 3):
+        for k in range(1, 6):
+            for d in range(1, k + 1):
+                check_size_guard(n, comb(k, d), k - d + 1)
+    for n, k, d in [(3, 5, 2), (2, 12, 11), (2, 3, 2), (2, 6, 4), (2, 6, 2)]:
+        check_size_guard(n, comb(k, d), k - d + 1)
+    # (N, K, D, q) = (2, 6, 3, 13): F = 20, S = 2^20, refused up front
+    started = time.monotonic()
+    with pytest.raises(SizeGuard):
+        build_query(Demand((1, 2, 3), (1, 1, 1), field_new(13)), 6, 2,
+                    random.Random(0))
+    assert time.monotonic() - started < 1.0
+
+
+def test_plan_bytes_tracks_measured_peak():
+    field = field_new(7)
+    tracemalloc.start()
+    try:
+        build_query(Demand((2, 3), (1, 1), field), 4, 3, random.Random(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.5 < plan_bytes(3, 6, 3) / peak < 2.0
 
 
 # ----------------------------------------------------------- block structure
@@ -221,6 +259,119 @@ def test_eliminate_validation():
     # declared rank 2 but all rows proportional
     with pytest.raises(ValueError):
         eliminate_redundancy(blocks, ((1, 2), (2, 4), (3, 6)), 2, field)
+
+
+# ------------------------------------------------------------ greedy oracle
+
+def oracle_round_rows(betas, f_star, t, q):
+    """Round t's rows, one per t-subset type, over (off-star (t-1)-subset)
+    x rank columns.  A starred row is the starred coefficient vector at its
+    own subset (everything else it touches is known from earlier rounds);
+    an off-star row is its alternating fresh cells."""
+    f_count, r = len(betas), len(betas[0])
+    subs = list(combinations([g for g in range(f_count) if g != f_star], t - 1))
+    col_of = {sub: i * r for i, sub in enumerate(subs)}
+    types = list(combinations(range(f_count), t))
+    rows = np.zeros((len(types), len(subs) * r), dtype=np.int64)
+    for p, tt in enumerate(types):
+        if f_star in tt:
+            base = col_of[tuple(g for g in tt if g != f_star)]
+            rows[p, base:base + r] = betas[f_star]
+        else:
+            for pos, u in enumerate(tt):
+                base = col_of[tuple(g for g in tt if g != u)]
+                rows[p, base:base + r] += (-1) ** pos * np.array(betas[u])
+    return types, rows % q
+
+
+def oracle_greedy(rows, q):
+    """Keep each row, in order, iff it adds rank; a dropped row's
+    certificate writes it over the kept rows before it."""
+    n_rows, width = rows.shape
+    kept = [False] * n_rows
+    certs = {}
+    pivots = []
+    for pos in range(n_rows):
+        vec = np.zeros(width + n_rows, dtype=np.int64)
+        vec[:width] = rows[pos]
+        vec[width + pos] = 1
+        for col, pvec in pivots:
+            if vec[col]:
+                vec = (vec - vec[col] * pvec) % q
+        nonzero = np.nonzero(vec[:width])[0]
+        if nonzero.size:
+            col = int(nonzero[0])
+            pivots.append((col, (vec * pow(int(vec[col]), -1, q)) % q))
+            kept[pos] = True
+        else:
+            combo = vec[width:]
+            certs[pos] = sorted((int(u), int(-combo[u] % q))
+                                for u in np.nonzero(combo)[0] if u != pos)
+    return kept, certs
+
+
+@pytest.mark.parametrize("f_count,rank", [
+    (3, 2), (4, 2), (5, 3), (6, 4), (10, 4), (12, 2), (4, 1), (4, 4),
+])
+def test_closed_form_matches_greedy_oracle(f_count, rank):
+    """Every star, every round: the closed form keeps what the greedy keeps
+    and writes the same certificates."""
+    q = 13
+    field = field_new(q)
+    betas = generic_betas(f_count, rank, field, random.Random(f_count * 31 + rank))
+    mask = identity_mask(2 ** f_count)
+    for star in range(f_count):
+        plan = eliminate_redundancy(generate_full_blocks(2, f_count, star, mask),
+                                    betas, rank, field)
+        for t, pat in enumerate(plan.patterns, start=1):
+            types, rows = oracle_round_rows(betas, star, t, q)
+            kept, certs = oracle_greedy(rows, q)
+            assert list(pat.types) == types
+            assert pat.kept == kept
+            assert {p: sorted(c) for p, c in pat.certificates.items()} == certs
+
+
+@pytest.mark.parametrize("k,d", [(4, 2), (5, 2), (5, 3), (7, 6)])
+def test_closed_form_matches_greedy_oracle_on_grs_tables(k, d):
+    """The same agreement on the tables the engine really builds."""
+    field = field_new(13)
+    for support in (tuple(range(1, d + 1)), tuple(range(k - d + 1, k + 1))):
+        bundle = build_query(Demand(support, (1,) * d, field), k, 2,
+                             random.Random(k * 10 + d))
+        plan = bundle.plan
+        for t, pat in enumerate(plan.patterns, start=1):
+            types, rows = oracle_round_rows(plan.betas, plan.f_star, t, 13)
+            kept, certs = oracle_greedy(rows, 13)
+            assert pat.kept == kept
+            assert {p: sorted(c) for p, c in pat.certificates.items()} == certs
+
+
+def test_dependent_leading_rows_raise():
+    """The closed form needs beta_0..beta_{r-1} to be a basis; a full-rank
+    table whose first r rows are dependent is refused."""
+    field = field_new(7)
+    blocks = generate_full_blocks(2, 3, 0, identity_mask(8))
+    with pytest.raises(InternalInvariant):
+        eliminate_redundancy(blocks, ((1, 2), (2, 4), (0, 1)), 2, field)
+
+
+def test_biased_round_one_follows_star():
+    """The star-dependent-drops hook keeps round-1 singletons from the star
+    on, so the kept set moves with the star, and the plan still decodes."""
+    field = field_new(11)
+    rng = random.Random(5)
+    betas = generic_betas(4, 2, field, rng)
+    mask = identity_mask(16)
+    kept_sets = set()
+    for star in range(4):
+        plan = eliminate_redundancy(generate_full_blocks(2, 4, star, mask),
+                                    betas, 2, field, keep_bias=star)
+        kept_sets.add(tuple(plan.patterns[0].kept))
+        assert plan.patterns[0].kept[star]
+        y = stream_oracle(betas, 2, 16, field, rng)
+        answers = [pc_answer(plan.per_server[srv], y, field) for srv in range(2)]
+        assert pc_decode(plan, answers, field) == y[star]
+    assert len(kept_sets) == 4
 
 
 # ------------------------------------------------------------ answer/decode

@@ -2,6 +2,7 @@ import io
 import random
 import socket
 import struct
+import tracemalloc
 
 import pytest
 
@@ -14,8 +15,8 @@ from pltkit.wire import (ConnectionFailed, Malformed, Overflow, PltServer,
                          RemoteError, client_run, decode_answer,
                          decode_database, decode_error, decode_query,
                          encode_answer, encode_database, encode_error,
-                         encode_query, push_database, read_frame,
-                         resolve_bind)
+                         encode_query, push_database, query_frame_size,
+                         read_frame, resolve_bind)
 
 GF5 = field_new(5)
 
@@ -82,6 +83,59 @@ def test_golden_query_parses_identically():
     assert sq == walkthrough_bundle().server_queries[0]
     assert sq.q == 5 and sq.k == 4 and sq.s == 16 and sq.r == 2 and sq.f_count == 4
     assert sq.q_vectors == ((1, 2, 4, 2), (0, 2, 3, 1))
+
+
+def test_query_frame_size_matches_encoding():
+    field = field_new(13)
+    bundles = [walkthrough_bundle(), small_bundle(), small_bundle(seed=3),
+               build_query(Demand((2, 4), (3, 7), field), 4, 3, random.Random(8)),
+               build_query(Demand((1,), (5,), field), 4, 2, random.Random(9))]
+    for bundle in bundles:
+        for sq in bundle.server_queries:
+            assert query_frame_size(sq) == len(encode_query(sq))
+    assert (query_frame_size(walkthrough_bundle().server_queries[0])
+            == len(bytes.fromhex(GOLDEN_QUERY_HEX)))
+
+
+class OneByteStream(io.RawIOBase):
+    """Hands out at most one byte per read, like a slow socket."""
+
+    def __init__(self, data: bytes):
+        self._inner = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        chunk = self._inner.read(min(1, len(buf)))
+        buf[:len(chunk)] = chunk
+        return len(chunk)
+
+
+def test_read_frame_one_byte_per_read():
+    frame = encode_query(walkthrough_bundle().server_queries[0])
+    msg_type, payload = read_frame(OneByteStream(frame))
+    assert msg_type == wire.MSG_QUERY
+    assert decode_query(payload) == walkthrough_bundle().server_queries[0]
+    with pytest.raises(Malformed):
+        read_frame(OneByteStream(frame[:-1]))
+    with pytest.raises(Malformed):
+        read_frame(OneByteStream(frame[:5]))
+    with pytest.raises(EOFError):
+        read_frame(OneByteStream(b""))
+
+
+def test_read_frame_allocates_as_bytes_arrive():
+    """A header declaring a huge payload that never comes costs no memory."""
+    head = wire.MAGIC + bytes([wire.MSG_QUERY]) + struct.pack("<I", wire.MAX_PAYLOAD - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Malformed):
+            read_frame(io.BytesIO(head + b"x" * 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 1024 * 1024
 
 
 def test_answer_round_trip():
