@@ -221,8 +221,8 @@ def check_shape_independence(n_servers: int, f_count: int, rank: int,
         raise ValueError("need q > f_count for distinct generator points")
     s_total = n_servers ** f_count
     mask = SymbolMask(tuple(range(s_total)), tuple(1 for _ in range(s_total)))
-    blocks_by_star = [generate_full_blocks(n_servers, f_count, star, mask, limits=limits)
-                      for star in range(f_count)]
+    layouts = [generate_full_blocks(n_servers, f_count, star, mask, limits=limits)
+               for star in range(f_count)]
     ok = True
     profile = None
     checked = 0
@@ -234,7 +234,7 @@ def check_shape_independence(n_servers: int, f_count: int, rank: int,
                       for f in range(f_count))
         seen = set()
         for star in range(f_count):
-            plan = eliminate_redundancy(blocks_by_star[star], betas, rank, field,
+            plan = eliminate_redundancy(layouts[star], betas, rank, field,
                                         limits=limits)
             counts = tuple(tuple(d) for d in plan.drop_counts)
             term_hist = tuple(

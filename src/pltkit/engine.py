@@ -27,10 +27,6 @@ from .plan import (DEFAULT_LIMITS, Expression, GuardLimits, PcPlan, SymbolMask,
                    generate_full_blocks, pc_answer, pc_decode)
 
 
-class NoProtocol(NotImplementedError):
-    """The requested regime has no construction in this package."""
-
-
 def derive_rng(root, label: str, index: int) -> random.Random:
     """Independent RNG for one labeled trial under a root seed."""
     digest = hashlib.sha256(f"{root}|{label}|{index}".encode()).digest()
@@ -178,9 +174,9 @@ def _build_query(demand, k, n_servers, rng, overrides, limits) -> QueryBundle:
 
     s_total = n_servers ** f_count
     mask = build_mask(s_total, rng)
-    blocks = generate_full_blocks(n_servers, f_count, star, mask, limits=limits)
+    layout = generate_full_blocks(n_servers, f_count, star, mask, limits=limits)
     keep_bias = star if overrides.break_drop_symmetry else 0
-    plan = eliminate_redundancy(blocks, table.betas, r, field,
+    plan = eliminate_redundancy(layout, table.betas, r, field,
                                 limits=limits, keep_bias=keep_bias)
     queries = tuple(
         ServerQuery(field.q, k, s_total, spec.q_vectors, table.betas,
@@ -375,16 +371,3 @@ def run_pir_psi_via_plt(database: Database, wanted: int, side: Sequence[int],
     w_inv = field.inv(coeffs[support.index(wanted)])
     stream = [(w_inv * v) % q for v in stream]
     return SideInfoResult(stream, result.transcript)
-
-
-def mpir_psi_retrieve(database: Database, wanted: Sequence[int], side: Sequence[int],
-                      n_servers: int, seed=None,
-                      limits: GuardLimits = DEFAULT_LIMITS) -> SideInfoResult:
-    """Multi-message retrieval with side information; built out only for L=1."""
-    wanted = tuple(sorted(set(wanted)))
-    if len(wanted) != 1:
-        raise NoProtocol(
-            "no construction for more than one wanted message; capacity "
-            "numbers for that regime are in the capacity module")
-    return run_pir_psi_via_plt(database, wanted[0], side, n_servers,
-                               seed=seed, limits=limits)

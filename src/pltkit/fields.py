@@ -2,8 +2,7 @@
 
 Everything downstream (query construction, plan algebra, decoding) works with
 canonical integer representatives in [0, q).  ``PrimeField`` carries the fast
-int-to-int operations used in hot paths; ``FieldElement`` is a thin wrapper
-for code that prefers operator syntax.  Polynomials are dense, coefficients
+int-to-int operations used in hot paths.  Polynomials are dense, coefficients
 stored lowest degree first.
 """
 
@@ -81,9 +80,6 @@ class PrimeField:
             return pow(self.inv(a), -e, self.q)
         return pow(a % self.q, e, self.q)
 
-    def el(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.q, self)
-
     def elements(self) -> Iterable[int]:
         return range(self.q)
 
@@ -103,68 +99,6 @@ class PrimeField:
 def field_new(q: int) -> PrimeField:
     """Build GF(q), rejecting non-prime moduli."""
     return PrimeField(q)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A single element of a ``PrimeField``, with operator support."""
-
-    value: int
-    field: PrimeField
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("elements from different fields")
-            return other.value
-        return int(other) % self.field.q
-
-    def __add__(self, other):
-        return FieldElement(self.field.add(self.value, self._coerce(other)), self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.field.sub(self.value, self._coerce(other)), self.field)
-
-    def __rsub__(self, other):
-        return FieldElement(self.field.sub(self._coerce(other), self.value), self.field)
-
-    def __mul__(self, other):
-        return FieldElement(self.field.mul(self.value, self._coerce(other)), self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.field.div(self.value, self._coerce(other)), self.field)
-
-    def __rtruediv__(self, other):
-        return FieldElement(self.field.div(self._coerce(other), self.value), self.field)
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field.pow(self.value, e), self.field)
-
-    def __neg__(self):
-        return FieldElement(self.field.neg(self.value), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.q
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.field.q))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.q})"
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,28 @@
 """Per-server download plans over the virtual functions.
 
-Given F virtual functions of rank r over the super-messages, each function
-having S = N^F symbols, the plan queries sums of masked symbols in F rounds:
-round t asks signed t-wise sums, pairing one fresh starred symbol with a
-(t-1)-wise sum already downloaded from another server, plus fresh sums that
-avoid the starred function entirely.  Rank deficiency of the function table
-makes part of that structure redundant, in a fixed pattern (Sun and Jafar,
-"The Capacity of Private Computation"): round t keeps the t-subsets of
-functions that meet the first r, and each dropped row is a combination of
-kept ones read off in closed form from the coordinates of the coefficient
-rows over the first r.  That brings the per-server download to exactly
-S * (1/N + ... + 1/N^r) symbols.
+Given F virtual functions of rank r over the super-messages, each of S = N^F
+symbols, the plan asks every server for signed sums of masked symbols in F
+rounds (Sun and Jafar, "The Capacity of Private Computation"): round t has one
+row per t-subset T of functions and instance j < m_t = (N-1)^(t-1).  Which
+masked symbol (a "slot") each term reads is fixed by (N, F, f_star).  With
+c_t = C(F-1, t-1), base_1 = 0 and base_{t+1} = base_t + N c_t m_t, server n
+owns slot(t, n, sub, j) = base_t + (n c_t + idx(sub)) m_t + j, where idx ranks
+the (t-1)-subset sub among those avoiding f_star.  If f_star is not in T, row
+(T, j) on server n reads slot(t, n, T - u, j) with sign (-1)^c for its member
+u at column c.  Otherwise it reads a fresh starred symbol at
+slot(t, n, T - f_star, j) and subtracts, as side information, the
+(T - f_star)-row that server src, the (j // m_{t-1})-th server other than n,
+downloaded at instance j mod m_{t-1} of round t-1.  So every slot carries
+exactly one starred symbol.
 
-Index conventions: functions and symbols are 0-based here.  A "slot" is a
-masked symbol index; the mask maps it to the raw position all functions share.
+Rank deficiency of the function table makes part of the rows redundant, in a
+fixed pattern: round t keeps the t-subsets of functions that meet the first r,
+and each dropped row is a combination of kept ones read off in closed form
+from the coordinates of the coefficient rows over the first r.  That brings
+the per-server download to exactly S * (1/N + ... + 1/N^r) symbols.
+
+Functions and symbols are 0-based; the mask maps a slot to the raw position
+all functions share.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from .fields import PrimeField, gaussian_solve, matrix_rank
@@ -52,21 +62,22 @@ class GuardLimits:
 DEFAULT_LIMITS = GuardLimits()
 
 
-# Peak bytes per pre-elimination row of one server's plan (its cells and
-# kept expression included) and per certificate term: a non-negative
-# least-squares fit to tracemalloc peaks of build_query, 64-bit CPython 3.11.
-_ROW_BYTES, _CERT_TERM_BYTES = 1030, 190
+# Peak bytes per layout term (kept or dropped row; its share of the
+# emitted expressions, the layout and the mask included) and per
+# certificate term: a least-squares fit of the relative error to
+# tracemalloc peaks of build_query at (N, K, D, q) = (3,5,2,13),
+# (2,12,11,13) and (2,6,4,31), 64-bit CPython 3.11.
+_TERM_BYTES, _CERT_TERM_BYTES = 96, 240
 
 
 def plan_bytes(n_servers: int, f_count: int, rank: int) -> int:
     """Predicted peak memory of one query build, from closed-form counts:
-    C(F, t) (N-1)^(t-1) rows per server in round t, and at most
-    C(t + r, r) - 1 certificate terms per dropped type of size t."""
-    rows = sum(comb(f_count, t) * (n_servers - 1) ** (t - 1)
-               for t in range(1, f_count + 1))
+    each server's layout has C(F, t) (N-1)^(t-1) rows of t terms in round
+    t, F N^(F-1) terms in all, and each dropped type of size t has at most
+    C(t + r, r) - 1 certificate terms."""
     cert_terms = sum(comb(f_count - rank, t) * (comb(t + rank, rank) - 1)
                      for t in range(1, f_count - rank + 1))
-    return n_servers * rows * _ROW_BYTES + cert_terms * _CERT_TERM_BYTES
+    return f_count * n_servers ** f_count * _TERM_BYTES + cert_terms * _CERT_TERM_BYTES
 
 
 def check_size_guard(n_servers: int, f_count: int, rank: int,
@@ -127,47 +138,32 @@ class Expression:
     t: int
 
 
-@dataclass(eq=False, slots=True)
-class PlanRow:
-    """Internal pre-elimination row.
+@dataclass(frozen=True, slots=True)
+class RoundLayout:
+    """Round t of the slot layout, shared by every server.
 
-    ``cells`` are this row's fresh contributions: (function, slot, sign).
-    Starred rows additionally subtract ``side`` (a previous-round row fetched
-    from another server); their transmitted form is cells - side.cells.
+    Row (type p, instance j) on server n reads, at its column
+    ``columns[p][c] = (function, offset, sign, side)``, the slot
+    ``offset + grid[n][j][side]`` with that sign.
     """
 
-    server: int
-    t: int
-    type: tuple[int, ...]
-    instance: int
-    starred: bool
-    cells: tuple[tuple[int, int, int], ...]
-    side: "PlanRow | None" = None
-    kept: bool = False
-    expr_index: int = -1
+    instances: int  # m_t rows per type per server
+    columns: tuple[tuple[tuple[int, int, int, bool], ...], ...]
+    # per starred type: (position, its starred column's offset, position of
+    # T - f_star in round t-1 or -1 in round 1)
+    stars: tuple[tuple[int, int, int], ...]
+    grid: tuple[tuple[tuple[int, int], ...], ...]  # [server][instance]: (own, side)
 
 
-@dataclass
-class PlanRound:
-    server: int
-    t: int
-    rows: list[PlanRow]
-    by_type: list[list[PlanRow]]  # [type position][instance]
-
-
-@dataclass
-class BlockStructure:
-    """Full pre-elimination plan for all servers."""
+@dataclass(frozen=True)
+class SlotLayout:
+    """The plan layout of every round, with the query's mask."""
 
     n_servers: int
     f_count: int
     f_star: int
     mask: SymbolMask
-    rounds: list[list[PlanRound]]  # [server][t-1]
-
-    @property
-    def s(self) -> int:
-        return self.mask.s
+    rounds: tuple[RoundLayout, ...]
 
 
 @dataclass
@@ -191,7 +187,7 @@ class PcPlan:
     f_star: int
     mask: SymbolMask
     betas: tuple[tuple[int, ...], ...]
-    blocks: BlockStructure
+    layout: SlotLayout
     patterns: list[RoundPattern]
     per_server: list[list[Expression]]
     drop_counts: list[list[int]]
@@ -203,20 +199,15 @@ class PcPlan:
 
 
 def generate_full_blocks(n_servers: int, f_count: int, f_star: int, mask: SymbolMask,
-                         limits: GuardLimits = DEFAULT_LIMITS) -> BlockStructure:
-    """Build the symmetric pre-elimination structure for all servers.
+                         limits: GuardLimits = DEFAULT_LIMITS) -> SlotLayout:
+    """The slot layout of every round (module docstring), for all servers.
 
-    The construction is deterministic given (N, F, f_star); randomness enters
-    only through the mask.
-
-    Round 1 gives each server one fresh slot carrying a singleton of every
-    function.  Round t >= 2 gives server n one fresh slot per off-star
-    (t-1)-sum downloaded at the other servers in round t-1; that slot's
-    starred sum pairs a fresh starred symbol against the downloaded sum, and
-    the fresh off-star t-sums are spread over the same slots so that the sum
-    avoiding function u reuses, for each member, the slot associated with the
-    rest of its members.  Every slot is consumed by exactly one block, and
-    every slot carries exactly one starred cell.
+    Deterministic given (N, F, f_star); randomness enters only through the
+    mask.  Types run over the t-subsets in canonical order and columns over
+    a type's members in order, so emitted terms come out sorted by function.
+    A starred type's side columns are the columns of its (T - f_star)-row in
+    round t-1 with signs negated; their grid entry for (n, j) is that row's
+    own grid entry on server src, concatenated over the servers src != n.
     """
     if not (0 <= f_star < f_count):
         raise ValueError(f"starred index {f_star} out of range for {f_count} functions")
@@ -228,71 +219,40 @@ def generate_full_blocks(n_servers: int, f_count: int, f_star: int, mask: Symbol
         raise ValueError(f"mask covers {mask.s} symbols, plan needs {s_total}")
 
     others = [g for g in range(f_count) if g != f_star]
-    all_types = {t: list(combinations(range(f_count), t)) for t in range(1, f_count + 1)}
-    rounds: list[list[PlanRound]] = [[] for _ in range(n_servers)]
-    # off-star rows of the previous round, per server, keyed by type
-    ext_prev: list[dict[tuple[int, ...], list[PlanRow]]] = [{} for _ in range(n_servers)]
-    slot_counter = 0
-
+    rounds: list[RoundLayout] = []
+    base = 0
+    prev_pos: dict[tuple[int, ...], int] = {}
     for t in range(1, f_count + 1):
-        ext_here: list[dict[tuple[int, ...], list[PlanRow]]] = [{} for _ in range(n_servers)]
+        m = (n_servers - 1) ** (t - 1)
+        idx = {sub: i for i, sub in enumerate(combinations(others, t - 1))}
+        columns, stars, pos = [], [], {}
+        for p, tt in enumerate(combinations(range(f_count), t)):
+            pos[tt] = p
+            if f_star not in tt:
+                columns.append(tuple(
+                    (u, base + idx[tt[:c] + tt[c + 1:]] * m, -1 if c % 2 else 1, False)
+                    for c, u in enumerate(tt)))
+                continue
+            sub = tuple(g for g in tt if g != f_star)
+            back = prev_pos.get(sub, -1)  # -1 in round 1, where sub is empty
+            offset = base + idx[sub] * m
+            side = [(u, off, -sign, True) for u, off, sign, _ in
+                    rounds[-1].columns[back]] if back >= 0 else []
+            stars.append((p, offset, back))
+            columns.append(tuple(sorted(side + [(f_star, offset, 1, False)])))
+        block = len(idx) * m
+        grid = []
         for n in range(n_servers):
-            rows_by_type: dict[tuple[int, ...], list[PlanRow]] = {}
-            if t == 1:
-                slot = slot_counter
-                slot_counter += 1
-                for g in range(f_count):
-                    row = PlanRow(n, 1, (g,), 0, g == f_star, ((g, slot, 1),))
-                    rows_by_type[(g,)] = [row]
-                    if g != f_star:
-                        ext_here[n].setdefault((g,), []).append(row)
-            else:
-                # fresh slots, one per side-information instance, keyed by the
-                # off-star (t-1)-subset it serves
-                slots_by_sub: dict[tuple[int, ...], list[int]] = {}
-                for sub in combinations(others, t - 1):
-                    slots = []
-                    star_type = tuple(sorted(sub + (f_star,)))
-                    inst_rows = []
-                    for src in range(n_servers):
-                        if src == n:
-                            continue
-                        inst_rows.extend(ext_prev[src].get(sub, ()))
-                    for j, side_row in enumerate(inst_rows):
-                        slot = slot_counter
-                        slot_counter += 1
-                        slots.append(slot)
-                        inst = PlanRow(n, t, star_type, j, True,
-                                       ((f_star, slot, 1),), side=side_row)
-                        rows_by_type.setdefault(star_type, []).append(inst)
-                    slots_by_sub[sub] = slots
-                n_inst = (n_servers - 1) ** (t - 1)
-                for sub, slots in slots_by_sub.items():
-                    if len(slots) != n_inst:
-                        raise InternalInvariant(
-                            f"round {t} expected {n_inst} side instances for {sub}, got {len(slots)}")
-                for full in combinations(others, t):
-                    for j in range(n_inst):
-                        cells = []
-                        for pos, u in enumerate(full):
-                            rest = tuple(g for g in full if g != u)
-                            sign = 1 if pos % 2 == 0 else -1
-                            cells.append((u, slots_by_sub[rest][j], sign))
-                        row = PlanRow(n, t, full, j, False, tuple(cells))
-                        rows_by_type.setdefault(full, []).append(row)
-                        ext_here[n].setdefault(full, []).append(row)
-            ordered_types = [tt for tt in all_types[t] if tt in rows_by_type]
-            rows: list[PlanRow] = []
-            by_type: list[list[PlanRow]] = []
-            for tt in ordered_types:
-                by_type.append(rows_by_type[tt])
-                rows.extend(rows_by_type[tt])
-            rounds[n].append(PlanRound(n, t, rows, by_type))
-        ext_prev = ext_here
+            sides = [own for src in range(n_servers) if src != n
+                     for own, _ in rounds[-1].grid[src]] if t > 1 else [0]
+            grid.append(tuple(zip(range(n * block, n * block + m), sides)))
+        rounds.append(RoundLayout(m, tuple(columns), tuple(stars), tuple(grid)))
+        prev_pos = pos
+        base += n_servers * block
 
-    if slot_counter != s_total:
-        raise InternalInvariant(f"allocated {slot_counter} slots for {s_total} symbols")
-    return BlockStructure(n_servers, f_count, f_star, mask, rounds)
+    if base != s_total:
+        raise InternalInvariant(f"laid out {base} slots for {s_total} symbols")
+    return SlotLayout(n_servers, f_count, f_star, mask, tuple(rounds))
 
 
 @lru_cache(maxsize=64)
@@ -367,11 +327,11 @@ def _biased_singletons(betas: Sequence[Sequence[int]], keep_bias: int,
                         [g in chosen for g in range(f_count)], certs)
 
 
-def eliminate_redundancy(blocks: BlockStructure, betas: Sequence[Sequence[int]],
+def eliminate_redundancy(layout: SlotLayout, betas: Sequence[Sequence[int]],
                          rank: int, field: PrimeField,
                          limits: GuardLimits = DEFAULT_LIMITS,
                          keep_bias: int = 0) -> PcPlan:
-    """Drop the redundant rows in closed form; builds the final plan.
+    """Drop the redundant rows in closed form and emit the kept ones.
 
     Every block's fresh slots are disjoint from every other block's, and
     earlier-round rows span the same space whether or not they were kept,
@@ -381,11 +341,13 @@ def eliminate_redundancy(blocks: BlockStructure, betas: Sequence[Sequence[int]],
     InternalInvariant).  Then round t keeps the t-subsets meeting {0..r-1}:
     they come first in the canonical order and are independent, so a greedy
     rank pass would keep the same.  Dropped types get their certificates in
-    closed form (``_round_skeleton``).  The kept total must land exactly on
-    S * sum_{t<=r} N^-t per server, anything else raises InternalInvariant.
+    closed form (``_round_skeleton``).  Kept rows go out in (round, type,
+    instance) order, a column reading slot s as the term
+    (function, perm[s], sign * mask sign[s] mod q).  The kept total must
+    land exactly on S * sum_{t<=r} N^-t per server, else InternalInvariant.
     """
-    n_servers = blocks.n_servers
-    f_count = blocks.f_count
+    n_servers = layout.n_servers
+    f_count = layout.f_count
     q = field.q
     betas = tuple(tuple(b % q for b in row) for row in betas)
     if len(betas) != f_count or any(len(row) != rank for row in betas):
@@ -405,7 +367,7 @@ def eliminate_redundancy(blocks: BlockStructure, betas: Sequence[Sequence[int]],
     for t in range(1, f_count + 1):
         types, kept, drops = _round_skeleton(f_count, rank, t)
         # a starred row is its exterior row times (-1)^(position of the star)
-        sign = [-1 if blocks.f_star in tt and tt.index(blocks.f_star) % 2 else 1
+        sign = [-1 if layout.f_star in tt and tt.index(layout.f_star) % 2 else 1
                 for tt in types]
         certs = {p: [(u, lam) for u, minor, s in terms
                      if (lam := -s * sign[p] * sign[u] * det[minor] % q)]
@@ -414,53 +376,32 @@ def eliminate_redundancy(blocks: BlockStructure, betas: Sequence[Sequence[int]],
     if keep_bias % f_count:
         patterns[0] = _biased_singletons(betas, keep_bias, field)
 
-    mask = blocks.mask
+    mask = layout.mask
+    perm, signs = mask.perm, mask.signs
     per_server: list[list[Expression]] = []
-    drop_counts: list[list[int]] = []
     for n in range(n_servers):
         exprs: list[Expression] = []
-        drops: list[int] = []
-        for t in range(1, f_count + 1):
-            pat = patterns[t - 1]
-            block = blocks.rounds[n][t - 1]
-            dropped_here = 0
-            kept_by_type = {tt: pat.kept[i] for i, tt in enumerate(pat.types)}
-            for row in block.rows:
-                if kept_by_type[row.type]:
-                    row.kept = True
-                    row.expr_index = len(exprs)
-                    exprs.append(_transmit(row, mask, q))
-                else:
-                    # reset explicitly: block structures may be reused across
-                    # elimination passes with different tables
-                    row.kept = False
-                    row.expr_index = -1
-                    dropped_here += 1
-            drops.append(dropped_here)
+        for t, (rnd, pat) in enumerate(zip(layout.rounds, patterns), start=1):
+            grid = rnd.grid[n]
+            for cols, keep in zip(rnd.columns, pat.kept):
+                if not keep:
+                    continue
+                for g in grid:
+                    exprs.append(Expression(tuple([
+                        (u, perm[s := offset + g[side]], sign * signs[s] % q)
+                        for u, offset, sign, side in cols]), t))
         per_server.append(exprs)
-        drop_counts.append(drops)
+    dropped = [rnd.instances * pat.kept.count(False)
+               for rnd, pat in zip(layout.rounds, patterns)]
 
     expected = sum(n_servers ** (f_count - t) for t in range(1, rank + 1))
     for n in range(n_servers):
         if len(per_server[n]) != expected:
             raise InternalInvariant(
                 f"server {n} keeps {len(per_server[n])} rows, formula says {expected}")
-    if drop_counts.count(drop_counts[0]) != n_servers:
-        raise InternalInvariant("asymmetric drop counts across servers")
 
-    return PcPlan(n_servers, f_count, rank, blocks.f_star, mask, betas, blocks,
-                  patterns, per_server, drop_counts, expected)
-
-
-def _transmit(row: PlanRow, mask: SymbolMask, q: int) -> Expression:
-    terms = []
-    for g, slot, sign in row.cells:
-        terms.append((g, mask.perm[slot], (sign * mask.signs[slot]) % q))
-    if row.side is not None:
-        for g, slot, sign in row.side.cells:
-            terms.append((g, mask.perm[slot], (-sign * mask.signs[slot]) % q))
-    terms.sort()
-    return Expression(tuple(terms), row.t)
+    return PcPlan(n_servers, f_count, rank, layout.f_star, mask, betas, layout,
+                  patterns, per_server, [list(dropped) for _ in range(n_servers)], expected)
 
 
 def pc_answer(expressions: Sequence[Expression], y_streams, field: PrimeField) -> list[int]:
@@ -488,13 +429,16 @@ def pc_answer(expressions: Sequence[Expression], y_streams, field: PrimeField) -
 def pc_decode(plan: PcPlan, answers: Sequence[Sequence[int]], field: PrimeField) -> list[int]:
     """Recover every raw symbol of the starred function from the answers.
 
-    Walks rounds in order: kept rows take their downloaded value (starred
-    rows add back the side sum fetched elsewhere), dropped rows are
-    reconstructed per instance from the round's certificate, and each slot's
-    starred cell then yields one raw symbol through the mask.
+    Walks the layout round by round, keeping V[type][n, j], the value of
+    row (type, j)'s own columns on server n, over (server, instance) in
+    order.  Kept rows take the answers in (type, instance) order, every
+    server the same count; a starred one adds back its side sum, the
+    round-(t-1) V[T - f_star] without server n's instances.  Dropped rows
+    are combined per (server, instance) from the round's certificate.  A
+    starred row then pins one raw symbol: its starred column's slot s gives
+    raw[perm[s]] = mask sign[s] * V.
     """
     q = field.q
-    mask = plan.mask
     n_servers = plan.n_servers
     if len(answers) != n_servers:
         raise Undecodable(f"expected answers from {n_servers} servers, got {len(answers)}")
@@ -502,40 +446,34 @@ def pc_decode(plan: PcPlan, answers: Sequence[Sequence[int]], field: PrimeField)
         if len(answers[n]) != len(plan.per_server[n]):
             raise Undecodable(
                 f"server {n} sent {len(answers[n])} symbols, plan has {len(plan.per_server[n])}")
-    reduced: dict[int, int] = {}  # id(PlanRow) -> value of the row's fresh cells
+    perm, signs = plan.mask.perm, plan.mask.signs
     raw = [-1] * plan.s
-    for t in range(1, plan.f_count + 1):
-        pat = plan.patterns[t - 1]
-        pos_of = {tt: i for i, tt in enumerate(pat.types)}
-        for n in range(n_servers):
-            block = plan.blocks.rounds[n][t - 1]
-            for row in block.rows:
-                if not row.kept:
-                    continue
-                v = int(answers[n][row.expr_index]) % q
-                if row.side is not None:
-                    v = (v + reduced[id(row.side)]) % q
-                reduced[id(row)] = v
-            insts_of = {insts[0].type: insts for insts in block.by_type if insts}
-            for tt, insts in insts_of.items():
-                p = pos_of[tt]
-                if pat.kept[p]:
-                    continue
-                cert = pat.certificates[p]
-                for j, row in enumerate(insts):
-                    acc = 0
-                    for kept_pos, lam in cert:
-                        acc += lam * reduced[id(insts_of[pat.types[kept_pos]][j])]
-                    reduced[id(row)] = acc % q
-            for row in block.rows:
-                if row.starred:
-                    g, slot, _sign = row.cells[0]
-                    val = reduced.get(id(row))
-                    if val is None:
-                        raise Undecodable(f"no value for slot {slot}")
-                    sgn = mask.signs[slot]
-                    raw_index = mask.perm[slot]
-                    raw[raw_index] = (sgn * val) % q
-    if any(v < 0 for v in raw):
+    at = 0  # first answer of the type, the same on every server
+    values: list[list[int]] = []  # previous round's V[type], over (server, instance)
+    prev_m = 0
+    for rnd, pat in zip(plan.layout.rounds, plan.patterns):
+        m = rnd.instances
+        here: list[list[int]] = [[]] * len(pat.kept)
+        for p, keep in enumerate(pat.kept):
+            if keep:
+                here[p] = [int(v) % q for got in answers for v in got[at:at + m]]
+                at += m
+        for p, _, back in rnd.stars:
+            if back >= 0 and pat.kept[p]:
+                prev = values[back]
+                side = [v for n in range(n_servers)
+                        for v in prev[:n * prev_m] + prev[(n + 1) * prev_m:]]
+                here[p] = [(v + w) % q for v, w in zip(here[p], side)]
+        for p, cert in pat.certificates.items():
+            lams = [lam for _, lam in cert]
+            # a zero row has an empty certificate
+            here[p] = [sum(map(mul, lams, col)) % q for col in
+                       zip(*[here[u] for u, _ in cert])] or [0] * (n_servers * m)
+        own = [own for grid in rnd.grid for own, _ in grid]
+        for p, offset, _ in rnd.stars:
+            for g, v in zip(own, here[p]):
+                raw[perm[offset + g]] = signs[offset + g] * v % q
+        values, prev_m = here, m
+    if -1 in raw:
         raise Undecodable("some raw symbols were never pinned")
     return raw

@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from .engine import Database, QueryBundle, ServerQuery, server_answer
-from .fields import field_new
+from .fields import NotPrime, field_new
 from .plan import Expression
 
 MAGIC = b"PLT1"
@@ -183,7 +183,10 @@ def decode_database(payload: bytes) -> Database:
         raise Malformed(f"implausible database shape ({k}, {s})")
     flat = rd.u64_many(k * s)
     rd.done()
-    field = field_new(q)  # NotPrime propagates as ValueError
+    try:
+        field = field_new(q)
+    except NotPrime as exc:
+        raise Malformed(f"database modulus: {exc}") from None
     if any(v >= q for v in flat):
         raise Malformed("database symbol not reduced")
     rows = tuple(flat[i * s:(i + 1) * s] for i in range(k))

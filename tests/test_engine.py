@@ -7,11 +7,10 @@ from math import comb
 import pytest
 
 from pltkit.capacity import pir_psi_capacity, plt_capacity_L1
-from pltkit.engine import (Database, NoProtocol, RunOverrides, build_query,
+from pltkit.engine import (Database, RunOverrides, build_query,
                            combination_stream, derive_rng, mds_check,
-                           mpir_psi_retrieve, recover_demand,
-                           required_symbols, run_pir_psi_via_plt, run_plt,
-                           server_answer)
+                           recover_demand, required_symbols,
+                           run_pir_psi_via_plt, run_plt, server_answer)
 from pltkit.fields import field_new
 from pltkit.grs import Demand, y_coefficients
 from pltkit.plan import GuardLimits, SizeGuard
@@ -259,11 +258,3 @@ def test_side_info_wrapper_validation():
         run_pir_psi_via_plt(db, 2, (2, 3), 2, seed=0)
     with pytest.raises(ValueError):
         run_pir_psi_via_plt(db, 1, (2, 2, 3), 2, seed=0)
-
-
-def test_multi_wanted_interface():
-    db = Database.random(GF5, 4, 16, random.Random(1))
-    out = mpir_psi_retrieve(db, (3,), (1, 2), 2, seed=1)
-    assert out.message == list(db.rows[2])
-    with pytest.raises(NoProtocol):
-        mpir_psi_retrieve(db, (1, 2), (3,), 2, seed=1)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pltkit.fields import (DivisionByZero, FieldElement, NotPrime, Poly,
+from pltkit.fields import (DivisionByZero, NotPrime, Poly,
                            PrimeField, field_new, gaussian_solve, matrix_rank)
 
 
@@ -74,33 +74,6 @@ def test_rand_nonzero_never_zero():
     f = field_new(3)
     rng = random.Random(0)
     assert all(f.rand_nonzero(rng) != 0 for _ in range(200))
-
-
-# ------------------------------------------------------------ FieldElement
-
-def test_element_operators():
-    f = field_new(7)
-    a, b = f.el(3), f.el(5)
-    assert (a + b).value == 1
-    assert (a - b).value == 5
-    assert (a * b).value == 1
-    assert (a / b).value == f.div(3, 5)
-    assert (-a).value == 4
-    assert (a ** 3).value == 6
-    assert a.inverse().value == 5
-    assert int(a) == 3
-    # mixed int arithmetic and comparison
-    assert (a + 11).value == 0
-    assert (2 - a).value == 6
-    assert a == 10  # 10 mod 7 == 3
-
-
-def test_elements_from_different_fields_do_not_mix():
-    a = field_new(5).el(2)
-    b = field_new(7).el(2)
-    with pytest.raises(ValueError):
-        _ = a + b
-    assert a != b
 
 
 # ------------------------------------------------------------------ Poly

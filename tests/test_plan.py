@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 import tracemalloc
@@ -14,6 +15,7 @@ from pltkit.plan import (BadIndex, GuardLimits, InternalInvariant, SizeGuard,
                          SymbolMask, Undecodable, build_mask, check_size_guard,
                          eliminate_redundancy, generate_full_blocks,
                          pc_answer, pc_decode, plan_bytes)
+from pltkit.wire import encode_query
 
 GF5 = field_new(5)
 
@@ -120,50 +122,75 @@ def test_plan_bytes_tracks_measured_peak():
     assert 0.5 < plan_bytes(3, 6, 3) / peak < 2.0
 
 
-# ----------------------------------------------------------- block structure
+# ------------------------------------------------------------- slot layout
 
 @pytest.mark.parametrize("n,f_count", [(2, 3), (2, 4), (3, 3), (2, 5)])
 def test_blocks_partition_symbols(n, f_count):
     s = n ** f_count
-    blocks = generate_full_blocks(n, f_count, 0, identity_mask(s))
+    layout = generate_full_blocks(n, f_count, 0, identity_mask(s))
     starred_slots = []
-    for server in range(n):
-        for rnd in blocks.rounds[server]:
-            for row in rnd.rows:
-                if row.starred:
-                    assert len(row.cells) == 1
-                    starred_slots.append(row.cells[0][1])
+    for rnd in layout.rounds:
+        for p, offset, _ in rnd.stars:
+            # a starred row's only fresh column is the starred symbol
+            assert [c for c in rnd.columns[p] if not c[3]] == [(0, offset, 1, False)]
+            starred_slots.extend(offset + own for grid in rnd.grid for own, _ in grid)
     # every slot carries exactly one starred symbol
     assert sorted(starred_slots) == list(range(s))
 
 
 @pytest.mark.parametrize("n,f_count,star", [(2, 4, 0), (2, 4, 2), (3, 3, 1)])
 def test_block_row_counts(n, f_count, star):
-    blocks = generate_full_blocks(n, f_count, star, identity_mask(n ** f_count))
-    for server in range(n):
-        for t in range(1, f_count + 1):
-            rows = blocks.rounds[server][t - 1].rows
-            starred = sum(1 for r in rows if r.starred)
-            ext = len(rows) - starred
-            if t == 1:
-                assert starred == 1 and ext == f_count - 1
-            else:
-                inst = (n - 1) ** (t - 1)
-                assert starred == comb(f_count - 1, t - 1) * inst
-                assert ext == comb(f_count - 1, t) * inst
+    layout = generate_full_blocks(n, f_count, star, identity_mask(n ** f_count))
+    for t, rnd in enumerate(layout.rounds, start=1):
+        assert ([tuple(u for u, _, _, _ in cols) for cols in rnd.columns]
+                == list(combinations(range(f_count), t)))
+        assert all(len(grid) == rnd.instances for grid in rnd.grid)
+        starred = len(rnd.stars) * rnd.instances
+        ext = len(rnd.columns) * rnd.instances - starred
+        if t == 1:
+            assert starred == 1 and ext == f_count - 1
+        else:
+            inst = (n - 1) ** (t - 1)
+            assert starred == comb(f_count - 1, t - 1) * inst
+            assert ext == comb(f_count - 1, t) * inst
 
 
 def test_exterior_rows_alternate_signs_over_shared_slots():
-    blocks = generate_full_blocks(2, 4, 0, identity_mask(16))
-    for server in range(2):
-        for t in range(2, 5):
-            for row in blocks.rounds[server][t - 1].rows:
-                if row.starred:
-                    continue
-                members = tuple(g for g, _, _ in row.cells)
-                assert members == row.type
-                signs = [sign for _, _, sign in row.cells]
-                assert signs == [1 if i % 2 == 0 else -1 for i in range(t)]
+    layout = generate_full_blocks(2, 4, 0, identity_mask(16))
+    for t in range(2, 5):
+        rnd = layout.rounds[t - 1]
+        starred = {p: offset for p, offset, _ in rnd.stars}
+        star_offsets = set(starred.values())
+        for p, (tt, cols) in enumerate(zip(combinations(range(4), t), rnd.columns)):
+            if p in starred:
+                continue
+            assert tuple(u for u, _, _, _ in cols) == tt
+            assert [sign for _, _, sign, _ in cols] == [1 if i % 2 == 0 else -1 for i in range(t)]
+            # member u reads the fresh slot of the starred row over tt - u
+            assert all(not side and offset in star_offsets for _, offset, _, side in cols)
+
+
+# Query bytes of build_query(Demand(support, (1, 2, ...), GF(q)), K, N,
+# Random(seed)) over all servers, pinned: (N, K, support, q, seed) -> sha256
+# prefix of the concatenated encode_query frames.
+PINNED_QUERY_HASHES = {
+    (1, 3, (1, 2), 5, 0): "016190cc4e13031f",
+    (2, 4, (3,), 7, 1): "8d40eba8acca6b89",
+    (2, 4, (1, 2, 3, 4), 7, 2): "e5654d19185816b5",
+    (3, 4, (2, 4), 7, 2): "0d105573ba9e465f",
+    (2, 5, (3, 4, 5), 11, 3): "14d04db319d84f9b",
+    (2, 7, (1, 2, 3, 4, 5, 6), 13, 4): "47e7e47bedafa33d",
+    (3, 5, (1, 5), 13, 1): "1c4e87b03d74913f",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_QUERY_HASHES))
+def test_query_bytes_match_pinned_hashes(key):
+    n, k, support, q, seed = key
+    demand = Demand(support, tuple(range(1, len(support) + 1)), field_new(q))
+    bundle = build_query(demand, k, n, random.Random(seed))
+    frames = b"".join(encode_query(sq) for sq in bundle.server_queries)
+    assert hashlib.sha256(frames).hexdigest()[:16] == PINNED_QUERY_HASHES[key]
 
 
 def test_blocks_validation():
@@ -417,9 +444,24 @@ def test_decode_validates_answer_shape():
         pc_decode(plan, [answers[0], answers[1][:-1]], field)
 
 
+@pytest.mark.parametrize("n,star", [(2, 0), (2, 3), (3, 1)])
+def test_decode_with_a_zero_coefficient_row(n, star):
+    """A zero row drops with an empty certificate; its value is 0 on every
+    instance, and later rounds read it as side information."""
+    field = field_new(7)
+    betas = ((1, 2), (3, 1), (0, 0), (2, 5))
+    rng = random.Random(star)
+    plan = eliminate_redundancy(generate_full_blocks(n, 4, star, build_mask(n ** 4, rng)),
+                                betas, 2, field)
+    assert plan.patterns[0].certificates[2] == []
+    y = stream_oracle(betas, 2, n ** 4, field, rng)
+    answers = [pc_answer(plan.per_server[srv], y, field) for srv in range(n)]
+    assert pc_decode(plan, answers, field) == y[star]
+
+
 def test_blocks_survive_reuse_across_tables():
-    """One shared block structure, two different coefficient tables in turn;
-    the second plan must decode cleanly despite the first pass's bookkeeping."""
+    """One shared layout, two different coefficient tables in turn; the
+    second plan must decode cleanly after the first."""
     field = field_new(11)
     rng = random.Random(77)
     mask = identity_mask(16)

@@ -5,10 +5,11 @@ import struct
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pltkit.engine import (Database, RunOverrides, build_query, run_plt,
                            server_answer)
-from pltkit.fields import NotPrime, field_new
+from pltkit.fields import field_new
 from pltkit.grs import Demand
 from pltkit import wire
 from pltkit.wire import (ConnectionFailed, Malformed, Overflow, PltServer,
@@ -213,13 +214,67 @@ def test_decode_query_rejects_unreduced_entries():
 def test_decode_database_rejects_bad_modulus_and_symbols():
     db = Database.random(GF5, 2, 4, random.Random(0))
     payload = bytearray(encode_database(db)[9:])
-    struct.pack_into("<Q", payload, 0, 6)  # composite modulus
-    with pytest.raises(NotPrime):
-        decode_database(bytes(payload))
+    for modulus in (6, 4, 1, 0, 2 ** 61 - 1):  # composite, too small, too large
+        struct.pack_into("<Q", payload, 0, modulus)
+        with pytest.raises(Malformed):
+            decode_database(bytes(payload))
     payload = bytearray(encode_database(db)[9:])
     struct.pack_into("<Q", payload, 16, 5)  # symbol == q
     with pytest.raises(Malformed):
         decode_database(bytes(payload))
+
+
+def _fuzz_payloads():
+    """A valid payload per decoder, and the (offset, width) of each of its
+    header fields: modulus, shape, counts."""
+    sq = small_bundle().server_queries[0]
+    db = Database.random(GF5, 3, 8, random.Random(0))
+    expr_count = 24 + 8 * (sq.r * sq.k + sq.f_count * sq.r)
+    return {
+        decode_query: (encode_query(sq)[9:],
+                       [(0, 8), (8, 4), (12, 4), (16, 4), (20, 4), (expr_count, 4),
+                        (expr_count + 4, 4)]),
+        decode_answer: (encode_answer([1, 2, 3, 4])[9:], [(0, 4)]),
+        decode_database: (encode_database(db)[9:], [(0, 8), (8, 4), (12, 4)]),
+    }
+
+
+FUZZ_PAYLOADS = _fuzz_payloads()
+
+
+@settings(max_examples=300, deadline=None)
+@given(decoder=st.sampled_from(sorted(FUZZ_PAYLOADS, key=lambda f: f.__name__)),
+       data=st.data())
+def test_decoders_fail_only_with_malformed(decoder, data):
+    """Truncated, oversized and inconsistent payloads: every failure is
+    Malformed or Overflow, and no declared length is trusted with memory."""
+    good, fields = FUZZ_PAYLOADS[decoder]
+    mode = data.draw(st.sampled_from(["truncated", "oversized", "header", "noise"]))
+    if mode == "truncated":
+        with pytest.raises(Malformed):
+            decoder(good[:data.draw(st.integers(0, len(good) - 1))])
+        return
+    if mode == "oversized":
+        with pytest.raises(Malformed):
+            decoder(good + data.draw(st.binary(min_size=1, max_size=64)))
+        return
+    if mode == "header":
+        payload = bytearray(good)
+        for offset, width in data.draw(st.lists(st.sampled_from(fields), min_size=1)):
+            value = data.draw(st.integers(0, 2 ** (8 * width) - 1))
+            payload[offset:offset + width] = value.to_bytes(width, "little")
+        payload = bytes(payload)
+    else:
+        payload = data.draw(st.binary(max_size=96))
+    tracemalloc.start()
+    try:
+        decoder(payload)
+    except (Malformed, Overflow):
+        pass
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 # ------------------------------------------------------------- live server
