@@ -21,9 +21,9 @@ from .grs import (Demand, FieldTooSmall, FunctionTable, GrsSecret,
                   build_secret, choose_omegas, enumerate_subsets,
                   y_coefficients)
 from .plan import (BadIndex, Expression, GuardLimits, InternalInvariant,
-                   PcPlan, SizeGuard, SymbolMask, Undecodable, build_mask,
-                   eliminate_redundancy, generate_full_blocks, pc_answer,
-                   pc_decode)
+                   PcPlan, QueryTerms, SizeGuard, SymbolMask, Undecodable,
+                   build_mask, eliminate_redundancy, generate_full_blocks,
+                   pc_answer, pc_decode)
 from .audit import (ParamsTooLarge, PrivacyReport, RateReport, ShapeReport,
                     StructureReport, check_shape_independence,
                     check_support_structure, measure_rate, query_signature,
@@ -41,7 +41,7 @@ __all__ = [
     "FieldTooSmall", "FunctionTable", "GrsSecret", "GuardLimits",
     "InternalInvariant", "Malformed", "NotPrime", "Overflow",
     "ParamsTooLarge", "PcPlan", "PltServer", "Poly", "PrimeField",
-    "PrivacyReport", "QueryBundle", "RateReport", "RemoteError",
+    "PrivacyReport", "QueryBundle", "QueryTerms", "RateReport", "RemoteError",
     "RunOverrides", "RunResult", "ServerQuery", "ShapeReport",
     "StructureReport", "SuperMessageSpec", "SymbolMask", "Transcript",
     "Undecodable", "baseline_rates", "build_function_table", "build_mask",

@@ -58,10 +58,10 @@ def query_signature(bundle: QueryBundle) -> dict:
     sq = bundle.server_queries[0]
     r = sq.r
     per_round: dict[int, list] = {}
-    for e in sq.expressions:
-        per_round.setdefault(e.t, []).append(tuple(g for g, _, _ in e.terms))
-    shape = tuple((t, len(per_round[t]), tuple(sorted(per_round[t])))
-                  for t in sorted(per_round))
+    for funcs, _, _ in sq.expressions.blocks:
+        per_round.setdefault(funcs.shape[1], []).extend(map(tuple, funcs.tolist()))
+    shape = tuple((t, len(rows), tuple(sorted(rows)))
+                  for t, rows in sorted(per_round.items()))
     return {
         "alpha": sq.q_vectors[0],
         "scalars": tuple(row[r - 1] for row in sq.betas),
@@ -203,9 +203,9 @@ def check_shape_independence(n_servers: int, f_count: int, rank: int,
 
     For each seed a fresh generic table is drawn (distinct generator points,
     random nonzero row scalings), and plans are built for all F star choices
-    over a shared mask.  Per-(server, round) kept/dropped counts, the
-    multiset of terms per expression, and even the kept type sets must all
-    coincide; any dependence on the star would hand the demand to a server
+    over a shared mask.  Per-(server, round) kept/dropped counts, each
+    server's (rows, terms) block shapes, and even the kept type sets must
+    all coincide; any dependence on the star would hand the demand to a server
     that simply reads which function tuples were downloaded.
     """
     if q is None:
@@ -237,15 +237,12 @@ def check_shape_independence(n_servers: int, f_count: int, rank: int,
             plan = eliminate_redundancy(layouts[star], betas, rank, field,
                                         limits=limits)
             counts = tuple(tuple(d) for d in plan.drop_counts)
-            term_hist = tuple(
-                tuple(tuple(sorted(Counter(len(e.terms) for e in exprs
-                                           if e.t == t + 1).items()))
-                      for t in range(f_count))
-                for exprs in plan.per_server)
+            block_shapes = tuple(tuple(funcs.shape for funcs, _, _ in terms.blocks)
+                                 for terms in plan.per_server)
             kept_types = tuple(
                 tuple(sorted(t for t, flag in zip(p.types, p.kept) if flag))
                 for p in plan.patterns)
-            seen.add((counts, term_hist, kept_types))
+            seen.add((counts, block_shapes, kept_types))
             profile = counts[0]
         if len(seen) != 1:
             ok = False

@@ -7,24 +7,23 @@ mask.  Reproducing a run therefore needs only the seed and the database.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import PrimeField, field_new
+from .fields import PrimeField
 from .grs import (Demand, GrsSecret, SuperMessageSpec, FunctionTable,
                   choose_omegas, build_secret, build_q_vectors,
                   enumerate_subsets, build_function_table)
-from .plan import (DEFAULT_LIMITS, Expression, GuardLimits, PcPlan, SymbolMask,
-                   build_mask, check_size_guard, eliminate_redundancy,
-                   generate_full_blocks, pc_answer, pc_decode)
+from .plan import (DEFAULT_LIMITS, GuardLimits, PcPlan, QueryTerms, build_mask,
+                   check_size_guard, eliminate_redundancy, generate_full_blocks,
+                   pc_answer, pc_decode)
 
 
 def derive_rng(root, label: str, index: int) -> random.Random:
@@ -77,14 +76,14 @@ def required_symbols(n_servers: int, k: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class ServerQuery:
-    """Everything one server needs: parameters, vectors, and expressions."""
+    """Everything one server needs: parameters, vectors, and its rows."""
 
     q: int
     k: int
     s: int
     q_vectors: tuple[tuple[int, ...], ...]
     betas: tuple[tuple[int, ...], ...]
-    expressions: tuple[Expression, ...]
+    expressions: QueryTerms
 
     @property
     def r(self) -> int:
@@ -131,20 +130,6 @@ class RunOverrides:
 def build_query(demand: Demand, k: int, n_servers: int, rng,
                 overrides: RunOverrides = RunOverrides(),
                 limits: GuardLimits = DEFAULT_LIMITS) -> QueryBundle:
-    # A build allocates about a million acyclic containers and keeps most of
-    # them.  With the cyclic collector on, a build at (3,5,2,13) spent a third
-    # of its time re-walking the growing plan, a varying number of times; it
-    # makes no cycles, so paused, the next collection walks them just once.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _build_query(demand, k, n_servers, rng, overrides, limits)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _build_query(demand, k, n_servers, rng, overrides, limits) -> QueryBundle:
     field = demand.field
     d = demand.d
     if demand.support[-1] > k:
@@ -179,9 +164,8 @@ def _build_query(demand, k, n_servers, rng, overrides, limits) -> QueryBundle:
     plan = eliminate_redundancy(layout, table.betas, r, field,
                                 limits=limits, keep_bias=keep_bias)
     queries = tuple(
-        ServerQuery(field.q, k, s_total, spec.q_vectors, table.betas,
-                    tuple(plan.per_server[n]))
-        for n in range(n_servers))
+        ServerQuery(field.q, k, s_total, spec.q_vectors, table.betas, terms)
+        for terms in plan.per_server)
     return QueryBundle(demand, secret, spec, table, plan, queries, field)
 
 
@@ -213,24 +197,7 @@ def server_answer(sq: ServerQuery, database: Database) -> list[int]:
         raise ValueError(
             f"database shape ({database.k}, {database.s}) does not match "
             f"query shape ({sq.k}, {sq.s})")
-    y = function_streams(sq, database)
-    q = sq.q
-    funcs, syms, coeffs, bounds = _flat_terms(sq.expressions)
-    vals = (coeffs * y[funcs, syms]) % q
-    sums = np.add.reduceat(vals, bounds) % q
-    return [int(v) for v in sums]
-
-
-def _flat_terms(expressions: Sequence[Expression]):
-    funcs, syms, coeffs, bounds = [], [], [], []
-    for expr in expressions:
-        bounds.append(len(funcs))
-        for g, sym, c in expr.terms:
-            funcs.append(g)
-            syms.append(sym)
-            coeffs.append(c)
-    return (np.array(funcs, dtype=np.int64), np.array(syms, dtype=np.int64),
-            np.array(coeffs, dtype=np.int64), np.array(bounds, dtype=np.int64))
+    return pc_answer(sq.expressions, function_streams(sq, database), database.field)
 
 
 def recover_demand(bundle: QueryBundle, answers: Sequence[Sequence[int]]) -> list[int]:

@@ -21,18 +21,26 @@ and each dropped row is a combination of kept ones read off in closed form
 from the coordinates of the coefficient rows over the first r.  That brings
 the per-server download to exactly S * (1/N + ... + 1/N^r) symbols.
 
+A server's query is a ``QueryTerms``: per kept round, one block of
+(rows x t) arrays of functions, raw symbols and coefficients.  The layout
+holds the same arrays over every row before elimination, is cached per
+(N, F, f_star), and a build gathers the kept types from it through the mask.
+
 Functions and symbols are 0-based; the mask maps a slot to the raw position
 all functions share.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 from operator import mul
 from typing import Sequence
+
+import numpy as np
 
 from .fields import PrimeField, gaussian_solve, matrix_rank
 
@@ -62,12 +70,15 @@ class GuardLimits:
 DEFAULT_LIMITS = GuardLimits()
 
 
-# Peak bytes per layout term (kept or dropped row; its share of the
-# emitted expressions, the layout and the mask included) and per
-# certificate term: a least-squares fit of the relative error to
-# tracemalloc peaks of build_query at (N, K, D, q) = (3,5,2,13),
-# (2,12,11,13) and (2,6,4,31), 64-bit CPython 3.11.
-_TERM_BYTES, _CERT_TERM_BYTES = 96, 240
+# Peak bytes per layout term (kept or dropped row; its share of the layout
+# arrays, the emitted blocks and the mask) and per certificate term: a
+# least-squares fit of the relative error to tracemalloc peaks of one cold
+# build_query, in a fresh process, at (N, K, D, q) = (3,5,2,13),
+# (2,12,11,13) and (2,6,4,31), 64-bit CPython 3.11.  The fit counts the
+# layout of the build's own star, built on a cache miss; layouts cached for
+# other stars are not part of one build, and hold at most
+# _LAYOUT_CACHE_BYTES together.
+_TERM_BYTES, _CERT_TERM_BYTES = 35, 174
 
 
 def plan_bytes(n_servers: int, f_count: int, rank: int) -> int:
@@ -128,7 +139,7 @@ def build_mask(s: int, rng) -> SymbolMask:
 
 @dataclass(frozen=True, slots=True)
 class Expression:
-    """One transmitted query row: signed sum of raw function symbols.
+    """A view of one transmitted query row: signed sum of raw function symbols.
 
     terms are (function, raw symbol, coefficient), sorted by function, all
     functions distinct; ``t`` is the round, equal to the term count.
@@ -138,21 +149,59 @@ class Expression:
     t: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False)
+class QueryTerms:
+    """One server's transmitted rows, as blocks of rows with equal term count.
+
+    A block is (funcs, syms, coeffs), integer arrays of shape (rows, t): row
+    i sends sum_c coeffs[i, c] * Y_{funcs[i, c]}[syms[i, c]].  Rows run in
+    block order; an honest plan has one block per kept round.  ``len`` is
+    the row count; indexing, slicing, iteration and equality work on
+    ``Expression`` row views, built on each access, and so does hashing.
+    """
+
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def __len__(self) -> int:
+        return sum(len(funcs) for funcs, _, _ in self.blocks)
+
+    def __iter__(self):
+        for funcs, syms, coeffs in self.blocks:
+            t = funcs.shape[1]
+            for row in zip(funcs.tolist(), syms.tolist(), coeffs.tolist()):
+                yield Expression(tuple(zip(*row)), t)
+
+    def __getitem__(self, key):
+        return list(self)[key]
+
+    def __eq__(self, other):
+        return isinstance(other, QueryTerms) and list(self) == list(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class RoundLayout:
     """Round t of the slot layout, shared by every server.
 
-    Row (type p, instance j) on server n reads, at its column
-    ``columns[p][c] = (function, offset, sign, side)``, the slot
-    ``offset + grid[n][j][side]`` with that sign.
+    Row (type p, instance j) on server n reads, at column c, the slot
+    ``slots[n, p, j, c]`` with function ``funcs[p, c]`` and sign
+    ``signs[p, c]``; function and sign are the same for every server and
+    instance.  The arrays are read-only, since layouts are cached.
     """
 
     instances: int  # m_t rows per type per server
-    columns: tuple[tuple[tuple[int, int, int, bool], ...], ...]
-    # per starred type: (position, its starred column's offset, position of
-    # T - f_star in round t-1 or -1 in round 1)
-    stars: tuple[tuple[int, int, int], ...]
-    grid: tuple[tuple[tuple[int, int], ...], ...]  # [server][instance]: (own, side)
+    funcs: np.ndarray  # (types, t): the type's members, in order
+    signs: np.ndarray  # (types, t): +1 or -1
+    slots: np.ndarray  # (servers, types, instances, t)
+    # per starred type: its position, and the position of T - f_star in
+    # round t-1 (-1 in round 1)
+    stars: tuple[tuple[int, int], ...]
+    # (starred types, servers * instances): the slot of each starred row's
+    # f_star column, over (server, instance).  Kept beside slots: gathering
+    # it on every pc_decode costs about as much as the rest of a decode at F = 3
+    star_slots: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -189,7 +238,7 @@ class PcPlan:
     betas: tuple[tuple[int, ...], ...]
     layout: SlotLayout
     patterns: list[RoundPattern]
-    per_server: list[list[Expression]]
+    per_server: list[QueryTerms]
     drop_counts: list[list[int]]
     kept_per_server: int
 
@@ -202,12 +251,8 @@ def generate_full_blocks(n_servers: int, f_count: int, f_star: int, mask: Symbol
                          limits: GuardLimits = DEFAULT_LIMITS) -> SlotLayout:
     """The slot layout of every round (module docstring), for all servers.
 
-    Deterministic given (N, F, f_star); randomness enters only through the
-    mask.  Types run over the t-subsets in canonical order and columns over
-    a type's members in order, so emitted terms come out sorted by function.
-    A starred type's side columns are the columns of its (T - f_star)-row in
-    round t-1 with signs negated; their grid entry for (n, j) is that row's
-    own grid entry on server src, concatenated over the servers src != n.
+    Deterministic given (N, F, f_star), so the rounds are cached and shared;
+    randomness enters only through the mask.
     """
     if not (0 <= f_star < f_count):
         raise ValueError(f"starred index {f_star} out of range for {f_count} functions")
@@ -217,42 +262,85 @@ def generate_full_blocks(n_servers: int, f_count: int, f_star: int, mask: Symbol
     s_total = n_servers ** f_count
     if mask.s != s_total:
         raise ValueError(f"mask covers {mask.s} symbols, plan needs {s_total}")
+    return SlotLayout(n_servers, f_count, f_star, mask,
+                      _cached_layout(n_servers, f_count, f_star))
 
+
+# Layouts by (N, F, f_star), least recently used first.  Together their slot
+# arrays hold at most _LAYOUT_CACHE_BYTES; a larger layout is not kept.
+_LAYOUT_CACHE_BYTES = 64 * 1024 * 1024
+_layouts: dict[tuple[int, int, int], tuple[RoundLayout, ...]] = {}
+_layouts_lock = threading.Lock()
+
+
+def _cached_layout(n_servers: int, f_count: int, f_star: int) -> tuple[RoundLayout, ...]:
+    key = (n_servers, f_count, f_star)
+    with _layouts_lock:
+        _layouts[key] = rounds = _layouts.pop(key, None) or _layout_rounds(*key)
+        while sum(r.slots.nbytes for rs in _layouts.values() for r in rs) > _LAYOUT_CACHE_BYTES:
+            del _layouts[next(iter(_layouts))]
+    return rounds
+
+
+def _layout_rounds(n_servers: int, f_count: int, f_star: int) -> tuple[RoundLayout, ...]:
+    """Every round's slots, functions and signs, by numpy arithmetic on the
+    slot formula (module docstring).
+
+    Types run over the t-subsets in canonical order and columns over a
+    type's members in order, so a row's terms come out sorted by function.
+    An off-star row's column c drops member c to find its slot.  A starred
+    row's column for f_star reads its own slot over T - f_star; its other
+    columns are the (T - f_star)-row of round t-1 on server src at instance
+    j mod m_{t-1}, signs negated.
+    """
+    # by the bitmask of a subset: its rank among the subsets of its size
+    # that avoid f_star, and its position among all subsets of its size
+    idx = np.zeros(1 << f_count, dtype=np.int64)
+    pos = np.zeros(1 << f_count, dtype=np.int64)
     others = [g for g in range(f_count) if g != f_star]
     rounds: list[RoundLayout] = []
     base = 0
-    prev_pos: dict[tuple[int, ...], int] = {}
     for t in range(1, f_count + 1):
         m = (n_servers - 1) ** (t - 1)
-        idx = {sub: i for i, sub in enumerate(combinations(others, t - 1))}
-        columns, stars, pos = [], [], {}
-        for p, tt in enumerate(combinations(range(f_count), t)):
-            pos[tt] = p
-            if f_star not in tt:
-                columns.append(tuple(
-                    (u, base + idx[tt[:c] + tt[c + 1:]] * m, -1 if c % 2 else 1, False)
-                    for c, u in enumerate(tt)))
-                continue
-            sub = tuple(g for g in tt if g != f_star)
-            back = prev_pos.get(sub, -1)  # -1 in round 1, where sub is empty
-            offset = base + idx[sub] * m
-            side = [(u, off, -sign, True) for u, off, sign, _ in
-                    rounds[-1].columns[back]] if back >= 0 else []
-            stars.append((p, offset, back))
-            columns.append(tuple(sorted(side + [(f_star, offset, 1, False)])))
-        block = len(idx) * m
-        grid = []
-        for n in range(n_servers):
-            sides = [own for src in range(n_servers) if src != n
-                     for own, _ in rounds[-1].grid[src]] if t > 1 else [0]
-            grid.append(tuple(zip(range(n * block, n * block + m), sides)))
-        rounds.append(RoundLayout(m, tuple(columns), tuple(stars), tuple(grid)))
-        prev_pos = pos
-        base += n_servers * block
-
-    if base != s_total:
-        raise InternalInvariant(f"laid out {base} slots for {s_total} symbols")
-    return SlotLayout(n_servers, f_count, f_star, mask, tuple(rounds))
+        c_t = comb(f_count - 1, t - 1)
+        subs = np.array(list(combinations(others, t - 1)), dtype=np.int64).reshape(c_t, t - 1)
+        idx[(1 << subs).sum(1)] = np.arange(c_t)
+        funcs = np.array(list(combinations(range(f_count), t)), dtype=np.int64)
+        bits = (1 << funcs).sum(1)
+        col = np.arange(t)
+        is_star = funcs == f_star
+        starred = np.flatnonzero(is_star.any(1))
+        star_col = is_star[starred].argmax(1)
+        # column c reads slot(t, n, T - member c, j): right for every column
+        # of an off-star row and for the star column of a starred row
+        slots = (base + (np.arange(n_servers)[:, None, None, None] * c_t
+                         + idx[bits[:, None] - (1 << funcs)][None, :, None, :]) * m
+                 + np.arange(m)[None, None, :, None])
+        side = col[None, :] != star_col[:, None]
+        back_col = col[None, :] - (col[None, :] > star_col[:, None])
+        signs = np.where(col % 2, -1, 1)[None, :].repeat(len(funcs), 0)
+        signs[starred] = np.where(side, np.where(back_col % 2, 1, -1), 1)
+        back = np.full(len(starred), -1)
+        if t > 1:
+            prev = rounds[-1]
+            back = pos[bits[starred] - (1 << f_star)]
+            k = np.arange(m) // prev.instances
+            src = k + (k >= np.arange(n_servers)[:, None])  # k-th server other than n
+            from_prev = prev.slots[src[:, None, :, None], back[None, :, None, None],
+                                   (np.arange(m) % prev.instances)[None, None, :, None],
+                                   np.where(side, back_col, 0)[None, :, None, :]]
+            slots[:, starred] = np.where(side[None, :, None, :], from_prev,
+                                         slots[:, starred])
+        pos[bits] = np.arange(len(funcs))
+        star_slots = slots[:, starred, :, star_col].reshape(len(starred), -1)
+        for arr in (funcs, signs, slots, star_slots):
+            arr.flags.writeable = False
+        rounds.append(RoundLayout(m, funcs, signs, slots,
+                                  tuple(zip(starred.tolist(), back.tolist())), star_slots))
+        base += n_servers * c_t * m
+    if base != n_servers ** f_count:
+        raise InternalInvariant(f"laid out {base} slots for {n_servers ** f_count} symbols")
+    return tuple(rounds)
 
 
 @lru_cache(maxsize=64)
@@ -342,8 +430,8 @@ def eliminate_redundancy(layout: SlotLayout, betas: Sequence[Sequence[int]],
     they come first in the canonical order and are independent, so a greedy
     rank pass would keep the same.  Dropped types get their certificates in
     closed form (``_round_skeleton``).  Kept rows go out in (round, type,
-    instance) order, a column reading slot s as the term
-    (function, perm[s], sign * mask sign[s] mod q).  The kept total must
+    instance) order, one block per kept round, a column reading slot s as
+    the term (function, perm[s], sign * mask sign[s] mod q).  The kept total must
     land exactly on S * sum_{t<=r} N^-t per server, else InternalInvariant.
     """
     n_servers = layout.n_servers
@@ -377,20 +465,21 @@ def eliminate_redundancy(layout: SlotLayout, betas: Sequence[Sequence[int]],
         patterns[0] = _biased_singletons(betas, keep_bias, field)
 
     mask = layout.mask
-    perm, signs = mask.perm, mask.signs
-    per_server: list[list[Expression]] = []
-    for n in range(n_servers):
-        exprs: list[Expression] = []
-        for t, (rnd, pat) in enumerate(zip(layout.rounds, patterns), start=1):
-            grid = rnd.grid[n]
-            for cols, keep in zip(rnd.columns, pat.kept):
-                if not keep:
-                    continue
-                for g in grid:
-                    exprs.append(Expression(tuple([
-                        (u, perm[s := offset + g[side]], sign * signs[s] % q)
-                        for u, offset, sign, side in cols]), t))
-        per_server.append(exprs)
+    perm, mask_signs = np.array(mask.perm), np.array(mask.signs)
+    blocks: list[list[tuple]] = [[] for _ in range(n_servers)]
+    for rnd, pat in zip(layout.rounds, patterns):
+        keep = [p for p, kept in enumerate(pat.kept) if kept]
+        if not (keep and rnd.instances):
+            continue
+        t = rnd.funcs.shape[1]
+        slot = rnd.slots.take(keep, 1)
+        syms = perm.take(slot).reshape(n_servers, -1, t)
+        signs = rnd.signs.take(keep, 0)[:, None]
+        coeffs = (signs * mask_signs.take(slot) % q).reshape(n_servers, -1, t)
+        funcs = rnd.funcs.take(keep, 0).repeat(rnd.instances, 0)
+        for n in range(n_servers):
+            blocks[n].append((funcs, syms[n], coeffs[n]))
+    per_server = [QueryTerms(tuple(b)) for b in blocks]
     dropped = [rnd.instances * pat.kept.count(False)
                for rnd, pat in zip(layout.rounds, patterns)]
 
@@ -404,26 +493,29 @@ def eliminate_redundancy(layout: SlotLayout, betas: Sequence[Sequence[int]],
                   patterns, per_server, [list(dropped) for _ in range(n_servers)], expected)
 
 
-def pc_answer(expressions: Sequence[Expression], y_streams, field: PrimeField) -> list[int]:
-    """Evaluate each expression against the function symbol streams.
+def pc_answer(terms: QueryTerms, y_streams, field: PrimeField) -> list[int]:
+    """Evaluate every row against the function symbol streams.
 
-    ``y_streams`` is indexable as y[function][symbol]; any function the plan
-    mentions must be present and every stream must cover the symbol range.
+    ``y_streams`` is an (F, S) array, or nested sequences of that shape.
+    Terms hold non-negative indices, as the plan and the wire decoder make
+    them; an index beyond the streams raises ``BadIndex``.
     """
     q = field.q
-    f_count = len(y_streams)
-    out = []
-    for expr in expressions:
-        acc = 0
-        for g, sym, coeff in expr.terms:
-            if not (0 <= g < f_count):
-                raise BadIndex(f"function {g} out of range")
-            stream = y_streams[g]
-            if not (0 <= sym < len(stream)):
-                raise BadIndex(f"symbol {sym} out of range for function {g}")
-            acc += coeff * int(stream[sym])
-        out.append(acc % q)
-    return out
+    y = np.asarray(y_streams, dtype=np.int64)
+    sums = []
+    for funcs, syms, coeffs in terms.blocks:
+        try:
+            vals = y[funcs, syms]
+        except IndexError as exc:
+            raise BadIndex(f"term out of range for {y.shape[0]} streams of "
+                           f"{y.shape[1]} symbols: {exc}") from None
+        prods = coeffs * vals
+        # a row adds t products below q**2; reduce them first where that
+        # sum could leave int64
+        if funcs.shape[1] * (q - 1) ** 2 >= 2 ** 63:
+            prods %= q
+        sums.append(np.add.reduce(prods, 1))
+    return (np.concatenate(sums) % q).tolist() if sums else []
 
 
 def pc_decode(plan: PcPlan, answers: Sequence[Sequence[int]], field: PrimeField) -> list[int]:
@@ -458,7 +550,7 @@ def pc_decode(plan: PcPlan, answers: Sequence[Sequence[int]], field: PrimeField)
             if keep:
                 here[p] = [int(v) % q for got in answers for v in got[at:at + m]]
                 at += m
-        for p, _, back in rnd.stars:
+        for p, back in rnd.stars:
             if back >= 0 and pat.kept[p]:
                 prev = values[back]
                 side = [v for n in range(n_servers)
@@ -469,10 +561,9 @@ def pc_decode(plan: PcPlan, answers: Sequence[Sequence[int]], field: PrimeField)
             # a zero row has an empty certificate
             here[p] = [sum(map(mul, lams, col)) % q for col in
                        zip(*[here[u] for u, _ in cert])] or [0] * (n_servers * m)
-        own = [own for grid in rnd.grid for own, _ in grid]
-        for p, offset, _ in rnd.stars:
-            for g, v in zip(own, here[p]):
-                raw[perm[offset + g]] = signs[offset + g] * v % q
+        for (p, _), slots in zip(rnd.stars, rnd.star_slots.tolist()):
+            for s, v in zip(slots, here[p]):
+                raw[perm[s]] = signs[s] * v % q
         values, prev_m = here, m
     if -1 in raw:
         raise Undecodable("some raw symbols were never pinned")

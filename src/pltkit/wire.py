@@ -18,11 +18,14 @@ import socketserver
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from itertools import groupby
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .engine import Database, QueryBundle, ServerQuery, server_answer
 from .fields import NotPrime, field_new
-from .plan import Expression
+from .plan import QueryTerms
 
 MAGIC = b"PLT1"
 MSG_QUERY = 0x01
@@ -34,7 +37,6 @@ DEFAULT_PORT = 7311
 BIND_ENV = "PLT_BIND"
 MAX_PAYLOAD = 256 * 1024 * 1024
 _READ_CHUNK = 1 << 20
-_TERM = struct.Struct("<IIQ")  # function, symbol, coefficient
 
 ERR_NO_DATABASE = 1
 ERR_BAD_REQUEST = 2
@@ -93,8 +95,17 @@ class _Reader:
         return struct.unpack(f"<{count}Q", self.take(8 * count))
 
     def done(self):
+        if self.pos > len(self.data):
+            raise Malformed("payload truncated")
         if self.pos != len(self.data):
             raise Malformed(f"{len(self.data) - self.pos} trailing bytes")
+
+
+def _row_dtype(t: int) -> np.dtype:
+    """A query row of t terms on the wire: a u32 term count, then per term
+    a u32 function, a u32 symbol and a u64 coefficient, packed."""
+    return np.dtype([("count", "<u4"),
+                     ("terms", [("func", "<u4"), ("sym", "<u4"), ("coeff", "<u8")], (t,))])
 
 
 def encode_query(sq: ServerQuery) -> bytes:
@@ -103,45 +114,60 @@ def encode_query(sq: ServerQuery) -> bytes:
     parts.append(struct.pack(f"<{r * sq.k}Q", *(v for row in sq.q_vectors for v in row)))
     parts.append(struct.pack(f"<{f_count * r}Q", *(v for row in sq.betas for v in row)))
     parts.append(struct.pack("<I", len(sq.expressions)))
-    for expr in sq.expressions:
-        parts.append(struct.pack("<I", len(expr.terms)))
-        for g, sym, coeff in expr.terms:
-            parts.append(struct.pack("<IIQ", g, sym, coeff))
+    for funcs, syms, coeffs in sq.expressions.blocks:
+        rows = np.empty(len(funcs), _row_dtype(funcs.shape[1]))
+        rows["count"] = funcs.shape[1]
+        terms = rows["terms"]
+        terms["func"], terms["sym"], terms["coeff"] = funcs, syms, coeffs
+        parts.append(rows.tobytes())
     return _frame(MSG_QUERY, b"".join(parts))
 
 
 def query_frame_size(sq: ServerQuery) -> int:
     """``len(encode_query(sq))``, counted without encoding."""
     return (9 + 24 + 8 * sq.r * sq.k + 8 * sq.f_count * sq.r + 4
-            + sum(4 + 16 * len(expr.terms) for expr in sq.expressions))
+            + sum(funcs.shape[0] * (4 + 16 * funcs.shape[1])
+                  for funcs, _, _ in sq.expressions.blocks))
 
 
 def decode_query(payload: bytes) -> ServerQuery:
     rd = _Reader(payload)
     q = rd.u64()
     k, s, r, f_count = rd.u32(), rd.u32(), rd.u32(), rd.u32()
-    if q < 2 or k < 1 or s < 1 or not (1 <= r <= k) or f_count < 1:
+    # terms are held as int64, so q must stay below 2**63
+    if not 2 <= q < 2 ** 63 or k < 1 or s < 1 or not (1 <= r <= k) or f_count < 1:
         raise Malformed(f"implausible header (q={q}, k={k}, s={s}, r={r}, f={f_count})")
     flat = rd.u64_many(r * k)
     q_vectors = tuple(flat[i * k:(i + 1) * k] for i in range(r))
     flat = rd.u64_many(f_count * r)
     betas = tuple(flat[i * r:(i + 1) * r] for i in range(f_count))
     n_expr = rd.u32()
-    expressions = []
+    # one pass over the row headers, then one array view per run of equal
+    # term counts
+    offset, counts = rd.pos, []
     for _ in range(n_expr):
         n_terms = rd.u32()
         if n_terms < 1 or n_terms > f_count:
             raise Malformed(f"expression with {n_terms} terms")
-        terms = tuple(_TERM.iter_unpack(rd.take(_TERM.size * n_terms)))
-        if any(g >= f_count or sym >= s or not (0 < coeff < q) for g, sym, coeff in terms):
-            raise Malformed("expression term out of range")
-        expressions.append(Expression(terms, n_terms))
+        counts.append(n_terms)
+        rd.pos += 16 * n_terms  # the next read or done() catches a short payload
     rd.done()
+    blocks = []
+    for t, run in groupby(counts):
+        rows = np.frombuffer(payload, _row_dtype(t), len(list(run)), offset)
+        offset += rows.nbytes
+        terms = rows["terms"]
+        funcs, syms, coeffs = terms["func"], terms["sym"], terms["coeff"]
+        if (funcs >= f_count).any() or (syms >= s).any() or not (
+                (coeffs > 0) & (coeffs < q)).all():
+            raise Malformed("expression term out of range")
+        blocks.append((funcs.astype(np.int64), syms.astype(np.int64),
+                       coeffs.astype(np.int64)))
     if any(v >= q for row in q_vectors for v in row):
         raise Malformed("query vector entry not reduced")
     if any(v >= q for row in betas for v in row):
         raise Malformed("coefficient entry not reduced")
-    return ServerQuery(q, k, s, q_vectors, betas, tuple(expressions))
+    return ServerQuery(q, k, s, q_vectors, betas, QueryTerms(tuple(blocks)))
 
 
 def encode_answer(symbols: Sequence[int]) -> bytes:
@@ -171,7 +197,7 @@ def decode_error(payload: bytes) -> tuple[int, str]:
 
 def encode_database(db: Database) -> bytes:
     head = struct.pack("<QII", db.field.q, db.k, db.s)
-    body = struct.pack(f"<{db.k * db.s}Q", *(v for row in db.rows for v in row))
+    body = b"".join(struct.pack(f"<{db.s}Q", *row) for row in db.rows)
     return _frame(MSG_LOAD_DB, head + body)
 
 
@@ -187,7 +213,7 @@ def decode_database(payload: bytes) -> Database:
         field = field_new(q)
     except NotPrime as exc:
         raise Malformed(f"database modulus: {exc}") from None
-    if any(v >= q for v in flat):
+    if max(flat) >= q:
         raise Malformed("database symbol not reduced")
     rows = tuple(flat[i * s:(i + 1) * s] for i in range(k))
     return Database(rows, field)

@@ -1,7 +1,7 @@
-import gc
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -80,7 +80,10 @@ def test_build_query_shares_vectors_across_servers():
         assert sq.q_vectors == q0.q_vectors
         assert sq.betas == q0.betas
     # but the download plans differ
-    assert len({sq.expressions for sq in bundle.server_queries}) == 3
+    for a, b in combinations(bundle.server_queries, 2):
+        assert a.expressions != b.expressions
+    # and a query stays hashable
+    assert len(set(bundle.server_queries)) == 3
 
 
 def test_build_query_validation():
@@ -89,23 +92,6 @@ def test_build_query_validation():
     with pytest.raises(SizeGuard):
         build_query(Demand((1,), (1,), GF5), 4, 2, random.Random(0),
                     limits=GuardLimits(max_functions=3))
-
-
-def test_build_query_restores_the_collector():
-    demand = Demand((1, 3), (2, 1), GF5)
-    assert gc.isenabled()
-    build_query(demand, 4, 2, random.Random(5))
-    assert gc.isenabled()
-    with pytest.raises(SizeGuard):
-        build_query(demand, 4, 2, random.Random(0),
-                    limits=GuardLimits(max_functions=3))
-    assert gc.isenabled()
-    gc.disable()
-    try:
-        build_query(demand, 4, 2, random.Random(5))
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
 
 
 def test_break_switches_pin_randomness():

@@ -1,13 +1,18 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+import threading
 import time
-import tracemalloc
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pltkit.plan as plan_module
 from pltkit.engine import build_query
 from pltkit.fields import field_new, matrix_rank
 from pltkit.grs import Demand
@@ -111,15 +116,27 @@ def test_size_guard_accepts_grids_and_refuses_f20():
     assert time.monotonic() - started < 1.0
 
 
+# One cold build in a fresh interpreter: a build in this process would find
+# the layout and certificate caches warm, and its peak would move with the
+# tests that ran before it.
+COLD_PEAK = """
+import random, tracemalloc
+from pltkit.engine import build_query
+from pltkit.fields import field_new
+from pltkit.grs import Demand
+tracemalloc.start()
+build_query(Demand((2, 3), (1, 1), field_new(7)), 4, 3, random.Random(2))
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
 def test_plan_bytes_tracks_measured_peak():
-    field = field_new(7)
-    tracemalloc.start()
-    try:
-        build_query(Demand((2, 3), (1, 1), field), 4, 3, random.Random(2))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert 0.5 < plan_bytes(3, 6, 3) / peak < 2.0
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", COLD_PEAK], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert 0.5 < plan_bytes(3, 6, 3) / int(out.stdout) < 2.0
 
 
 # ------------------------------------------------------------- slot layout
@@ -128,25 +145,29 @@ def test_plan_bytes_tracks_measured_peak():
 def test_blocks_partition_symbols(n, f_count):
     s = n ** f_count
     layout = generate_full_blocks(n, f_count, 0, identity_mask(s))
-    starred_slots = []
+    earlier: set = set()  # slots starred in the previous round
     for rnd in layout.rounds:
-        for p, offset, _ in rnd.stars:
-            # a starred row's only fresh column is the starred symbol
-            assert [c for c in rnd.columns[p] if not c[3]] == [(0, offset, 1, False)]
-            starred_slots.extend(offset + own for grid in rnd.grid for own, _ in grid)
+        for (p, _), star in zip(rnd.stars, rnd.star_slots):
+            assert rnd.funcs[p, 0] == 0 and rnd.signs[p, 0] == 1
+            assert np.array_equal(rnd.slots[:, p, :, 0].ravel(), star)
+            # a starred row's only fresh column is the starred symbol: the
+            # others read slots starred in the previous round
+            assert set(rnd.slots[:, p, :, 1:].ravel().tolist()) <= earlier
+        earlier = set(rnd.star_slots.ravel().tolist())
     # every slot carries exactly one starred symbol
-    assert sorted(starred_slots) == list(range(s))
+    starred = np.concatenate([rnd.star_slots.ravel() for rnd in layout.rounds])
+    assert sorted(starred.tolist()) == list(range(s))
 
 
 @pytest.mark.parametrize("n,f_count,star", [(2, 4, 0), (2, 4, 2), (3, 3, 1)])
 def test_block_row_counts(n, f_count, star):
     layout = generate_full_blocks(n, f_count, star, identity_mask(n ** f_count))
     for t, rnd in enumerate(layout.rounds, start=1):
-        assert ([tuple(u for u, _, _, _ in cols) for cols in rnd.columns]
-                == list(combinations(range(f_count), t)))
-        assert all(len(grid) == rnd.instances for grid in rnd.grid)
+        types = list(combinations(range(f_count), t))
+        assert rnd.funcs.tolist() == [list(tt) for tt in types]
+        assert rnd.slots.shape == (n, len(types), rnd.instances, t)
         starred = len(rnd.stars) * rnd.instances
-        ext = len(rnd.columns) * rnd.instances - starred
+        ext = len(types) * rnd.instances - starred
         if t == 1:
             assert starred == 1 and ext == f_count - 1
         else:
@@ -159,15 +180,17 @@ def test_exterior_rows_alternate_signs_over_shared_slots():
     layout = generate_full_blocks(2, 4, 0, identity_mask(16))
     for t in range(2, 5):
         rnd = layout.rounds[t - 1]
-        starred = {p: offset for p, offset, _ in rnd.stars}
-        star_offsets = set(starred.values())
-        for p, (tt, cols) in enumerate(zip(combinations(range(4), t), rnd.columns)):
+        starred = {p for p, _ in rnd.stars}
+        # per server, the slots its starred rows read at the star column
+        own = rnd.star_slots.reshape(len(starred), 2, -1).transpose(1, 0, 2)
+        for p, tt in enumerate(combinations(range(4), t)):
             if p in starred:
                 continue
-            assert tuple(u for u, _, _, _ in cols) == tt
-            assert [sign for _, _, sign, _ in cols] == [1 if i % 2 == 0 else -1 for i in range(t)]
+            assert tuple(rnd.funcs[p].tolist()) == tt
+            assert rnd.signs[p].tolist() == [1 if i % 2 == 0 else -1 for i in range(t)]
             # member u reads the fresh slot of the starred row over tt - u
-            assert all(not side and offset in star_offsets for _, offset, _, side in cols)
+            for n in range(2):
+                assert set(rnd.slots[n, p].ravel().tolist()) <= set(own[n].ravel().tolist())
 
 
 # Query bytes of build_query(Demand(support, (1, 2, ...), GF(q)), K, N,
@@ -457,6 +480,72 @@ def test_decode_with_a_zero_coefficient_row(n, star):
     y = stream_oracle(betas, 2, n ** 4, field, rng)
     answers = [pc_answer(plan.per_server[srv], y, field) for srv in range(n)]
     assert pc_decode(plan, answers, field) == y[star]
+
+
+def test_cached_layout_serves_two_masks():
+    """Two masks share one cached layout; each plan decodes, and the
+    shared arrays come out of both uses unchanged."""
+    field = field_new(11)
+    rng = random.Random(8)
+    betas = generic_betas(4, 2, field, rng)
+    layouts = [generate_full_blocks(2, 4, 1, build_mask(16, rng)) for _ in range(2)]
+    assert layouts[0].rounds is layouts[1].rounds
+    assert layouts[0].mask != layouts[1].mask
+    before = [rnd.slots.copy() for rnd in layouts[0].rounds]
+    y = stream_oracle(betas, 2, 16, field, rng)
+    for layout in layouts:
+        plan = eliminate_redundancy(layout, betas, 2, field)
+        answers = [pc_answer(plan.per_server[srv], y, field) for srv in range(2)]
+        assert pc_decode(plan, answers, field) == y[1]
+    assert all(np.array_equal(a, rnd.slots) for a, rnd in zip(before, layouts[0].rounds))
+
+
+def test_layout_cache_is_bounded_by_bytes(monkeypatch):
+    """The cache drops its least recently used layouts to stay within its
+    byte budget, and keeps no layout larger than the budget."""
+    monkeypatch.setattr(plan_module, "_layouts", {})
+    one = sum(rnd.slots.nbytes for rnd in
+              generate_full_blocks(2, 4, 0, identity_mask(16)).rounds)
+    monkeypatch.setattr(plan_module, "_LAYOUT_CACHE_BYTES", 2 * one)
+    for star in (1, 2, 1, 3):
+        generate_full_blocks(2, 4, star, identity_mask(16))
+    assert list(plan_module._layouts) == [(2, 4, 1), (2, 4, 3)]
+    big = generate_full_blocks(2, 5, 0, identity_mask(32))
+    assert sum(rnd.slots.nbytes for rnd in big.rounds) > 2 * one
+    assert plan_module._layouts == {}
+
+
+def test_layout_cache_under_threads(monkeypatch):
+    """Threads that hit, build and evict layouts at once get back the layout
+    they asked for and leave the cache within its budget."""
+    monkeypatch.setattr(plan_module, "_layouts", {})
+    want = {star: plan_module._layout_rounds(2, 4, star) for star in range(4)}
+    budget = 2 * sum(rnd.slots.nbytes for rnd in want[0])
+    monkeypatch.setattr(plan_module, "_LAYOUT_CACHE_BYTES", budget)
+    errors = []
+
+    def work(i):
+        try:
+            for j in range(200):
+                star = (i + j) % 4
+                got = generate_full_blocks(2, 4, star, identity_mask(16)).rounds
+                assert all(np.array_equal(a.slots, b.slots) for a, b in zip(got, want[star]))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert sum(r.slots.nbytes for rs in plan_module._layouts.values() for r in rs) <= budget
 
 
 def test_blocks_survive_reuse_across_tables():

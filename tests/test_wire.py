@@ -7,8 +7,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pltkit.engine import (Database, RunOverrides, build_query, run_plt,
-                           server_answer)
+from pltkit.engine import (Database, RunOverrides, build_query,
+                           function_streams, run_plt, server_answer)
 from pltkit.fields import field_new
 from pltkit.grs import Demand
 from pltkit import wire
@@ -96,6 +96,27 @@ def test_query_frame_size_matches_encoding():
             assert query_frame_size(sq) == len(encode_query(sq))
     assert (query_frame_size(walkthrough_bundle().server_queries[0])
             == len(bytes.fromhex(GOLDEN_QUERY_HEX)))
+
+
+def test_interleaved_term_counts_round_trip():
+    """Rows whose term counts interleave decode to the same rows, encode
+    back to the same bytes and are answered row by row.  Honest queries
+    send one run per round, but the decoder accepts any order."""
+    sq = small_bundle().server_queries[0]
+    rows = [((0, 5, 1),), ((0, 1, 2), (2, 7, 4)), ((1, 3, 3),),
+            ((0, 0, 1), (1, 2, 2), (2, 4, 3)), ((1, 6, 4), (2, 1, 1)), ((0, 7, 2), (1, 0, 3))]
+    head = encode_query(sq)[9:9 + 24 + 8 * (sq.r * sq.k + sq.f_count * sq.r)]
+    payload = head + struct.pack("<I", len(rows)) + b"".join(
+        struct.pack("<I", len(row)) + b"".join(struct.pack("<IIQ", *term) for term in row)
+        for row in rows)
+    back = decode_query(payload)
+    assert [(e.terms, e.t) for e in back.expressions] == [(row, len(row)) for row in rows]
+    assert encode_query(back) == wire._frame(wire.MSG_QUERY, payload)
+    assert query_frame_size(back) == 9 + len(payload)
+    db = Database.random(GF5, 3, 8, random.Random(2))
+    y = function_streams(back, db)
+    assert server_answer(back, db) == [
+        sum(c * int(y[g, sym]) for g, sym, c in e.terms) % 5 for e in back.expressions]
 
 
 class OneByteStream(io.RawIOBase):
