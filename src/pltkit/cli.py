@@ -16,6 +16,8 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import audit as audit_mod
 from .capacity import (CapacityQuery, baseline_rates, plt_capacity_L1,
                        plt_upper_bound)
@@ -124,8 +126,7 @@ def _cmd_serve(args) -> int:
         with open(args.db) as fh:
             blob = json.load(fh)
         field = field_new(blob["q"])
-        db = Database(tuple(tuple(int(v) % field.q for v in row)
-                            for row in blob["messages"]), field)
+        db = Database(np.mod(blob["messages"], field.q), field)
     elif args.random:
         if not (args.q and args.messages and args.symbols):
             raise ValueError("--random needs --q, --messages, and --symbols")

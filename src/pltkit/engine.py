@@ -35,33 +35,43 @@ def derive_rng(root, label: str, index: int) -> random.Random:
 # products of two reduced residues stay inside int64 up to this modulus,
 # even before any intermediate reduction
 _DIRECT_MATMUL_Q = 46_337
+# dtype instances, not type objects: a small database build is a few
+# microseconds, and converting the type object is a measurable part of it
+_INT64, _UINT64 = np.dtype(np.int64), np.dtype(np.uint64)
 
 
-@dataclass(frozen=True)
 class Database:
-    """K messages, each a stream of S symbols over GF(q)."""
+    """K messages, each a stream of S symbols over GF(q): one read-only
+    (K, S) int64 array, built once from any (K, S) sequence or array.
 
-    rows: tuple[tuple[int, ...], ...]
-    field: PrimeField
+    Equality is identity; an array cannot back value equality or hashing.
+    """
 
-    def __post_init__(self):
-        if not self.rows:
-            raise ValueError("database needs at least one message")
-        s = len(self.rows[0])
-        q = self.field.q
-        for row in self.rows:
-            if len(row) != s:
-                raise ValueError("all messages must have the same symbol count")
-            if any(not (0 <= v < q) for v in row):
-                raise ValueError("symbols must be reduced modulo q")
+    __slots__ = ("rows", "field")
+
+    def __init__(self, rows, field: PrimeField):
+        try:
+            a = np.array(rows, _INT64)
+        except OverflowError:  # a Python int past int64
+            raise ValueError("symbols must be reduced modulo q") from None
+        if a.ndim != 2:
+            raise ValueError(f"database needs a (K, S) grid of symbols, got shape {a.shape}")
+        # the largest symbol read as unsigned, so that a negative one reads as
+        # huge; argmax refuses an empty grid with ValueError
+        u = a.view(_UINT64)
+        if u.item(u.argmax()) >= field.q:
+            raise ValueError("symbols must be reduced modulo q")
+        a.setflags(False)  # not writeable
+        self.rows = a
+        self.field = field
 
     @property
     def k(self) -> int:
-        return len(self.rows)
+        return self.rows.shape[0]
 
     @property
     def s(self) -> int:
-        return len(self.rows[0])
+        return self.rows.shape[1]
 
     @classmethod
     def random(cls, field: PrimeField, k: int, s: int, rng) -> "Database":
@@ -181,12 +191,9 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
 def function_streams(sq: ServerQuery, database: Database) -> np.ndarray:
     """Materialize all F virtual function streams as an (F, S) array."""
-    q = sq.q
-    x = np.array(database.rows, dtype=np.int64)
     qm = np.array(sq.q_vectors, dtype=np.int64)
     bm = np.array(sq.betas, dtype=np.int64)
-    xhat = _mod_matmul(qm, x, q)
-    return _mod_matmul(bm, xhat, q)
+    return _mod_matmul(bm, _mod_matmul(qm, database.rows, sq.q), sq.q)
 
 
 def server_answer(sq: ServerQuery, database: Database) -> list[int]:
@@ -208,15 +215,17 @@ def recover_demand(bundle: QueryBundle, answers: Sequence[Sequence[int]]) -> lis
     return [(inv * v) % field.q for v in raw]
 
 
+def _combine(database: Database, indices: Sequence[int],
+             coeffs: Sequence[int]) -> np.ndarray:
+    """sum_i coeffs[i] * (message indices[i]) mod q, as an (S,) array."""
+    rows = database.rows[np.asarray(indices, dtype=np.int64) - 1]
+    weights = np.array([coeffs], dtype=np.int64)
+    return _mod_matmul(weights, rows, database.field.q)[0]
+
+
 def combination_stream(database: Database, demand: Demand) -> list[int]:
-    """Direct evaluation of the demanded combination, symbol by symbol."""
-    q = database.field.q
-    out = [0] * database.s
-    for idx, coeff in zip(demand.support, demand.coeffs):
-        row = database.rows[idx - 1]
-        for s in range(database.s):
-            out[s] = (out[s] + coeff * row[s]) % q
-    return out
+    """Direct evaluation of the demanded combination on the database."""
+    return _combine(database, demand.support, demand.coeffs).tolist()
 
 
 def mds_check(database: Database, demand: Demand, recovered: Sequence[int]) -> bool:
@@ -328,13 +337,7 @@ def run_pir_psi_via_plt(database: Database, wanted: int, side: Sequence[int],
     demand = Demand(support, coeffs, field)
     result = run_plt(database, demand, n_servers, seed=seed, rng=rng, limits=limits)
     q = field.q
-    stream = list(result.recovered)
-    for idx, coeff in zip(support, coeffs):
-        if idx == wanted:
-            continue
-        row = database.rows[idx - 1]  # user-known side content
-        for s in range(len(stream)):
-            stream[s] = (stream[s] - coeff * row[s]) % q
+    known = _combine(database, side, [c for i, c in zip(support, coeffs) if i != wanted])
     w_inv = field.inv(coeffs[support.index(wanted)])
-    stream = [(w_inv * v) % q for v in stream]
-    return SideInfoResult(stream, result.transcript)
+    message = (np.array(result.recovered, dtype=np.int64) - known) % q * w_inv % q
+    return SideInfoResult(message.tolist(), result.transcript)

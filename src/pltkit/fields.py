@@ -159,31 +159,12 @@ class Poly:
         return self.coeffs + (0,) * (length - len(self.coeffs))
 
 
-@dataclass
-class SpanResult:
-    """Whether one target vector lies in the row span, and a witness."""
-
-    in_span: bool
-    combination: list[int] | None  # coefficients over the original rows
-
-
-@dataclass
-class GaussianReport:
-    rank: int
-    results: list[SpanResult]
-
-    @property
-    def all_in_span(self) -> bool:
-        return all(r.in_span for r in self.results)
-
-
 def gaussian_solve(rows: Sequence[Sequence[int]], targets: Sequence[Sequence[int]],
-                   field: PrimeField) -> GaussianReport:
-    """Row-reduce ``rows`` over GF(q) and test each target for span membership.
-
-    For every target that is in the span, the returned combination c satisfies
-    sum_i c[i] * rows[i] == target exactly.  Pure-int reference implementation;
-    fine for the small systems this toolkit solves.
+                   field: PrimeField) -> tuple[int, list[list[int] | None]]:
+    """Row-reduce ``rows`` over GF(q); return their rank and, per target, a
+    combination c with sum_i c[i] * rows[i] == target exactly, or None for a
+    target outside the row span.  Pure-int reference implementation; fine
+    for the small systems this toolkit solves.
     """
     q = field.q
     n_rows = len(rows)
@@ -216,7 +197,7 @@ def gaussian_solve(rows: Sequence[Sequence[int]], targets: Sequence[Sequence[int
         combo = [(c * inv) % q for c in combo]
         basis.append((pivot, vec, combo))
 
-    results = []
+    combinations = []
     for target in targets:
         if len(target) != width:
             raise ValueError("target width does not match rows")
@@ -229,12 +210,9 @@ def gaussian_solve(rows: Sequence[Sequence[int]], targets: Sequence[Sequence[int
                     vec[i] = (vec[i] - c * bvec[i]) % q
                 for i in range(n_rows):
                     combo[i] = (combo[i] + c * bcombo[i]) % q
-        if any(vec):
-            results.append(SpanResult(False, None))
-        else:
-            results.append(SpanResult(True, combo))
-    return GaussianReport(rank=len(basis), results=results)
+        combinations.append(None if any(vec) else combo)
+    return len(basis), combinations
 
 
 def matrix_rank(rows: Sequence[Sequence[int]], field: PrimeField) -> int:
-    return gaussian_solve(rows, [], field).rank
+    return gaussian_solve(rows, [], field)[0]

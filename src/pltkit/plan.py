@@ -379,10 +379,8 @@ def _basis_coords(betas: Sequence[Sequence[int]], basis: Sequence[int],
                   field: PrimeField) -> list[list[int]] | None:
     """Coordinates of every beta row over the rows ``basis``, one solve;
     None when those rows are dependent."""
-    report = gaussian_solve([betas[g] for g in basis], betas, field)
-    if report.rank != len(basis):
-        return None
-    return [res.combination for res in report.results]
+    rank, coords = gaussian_solve([betas[g] for g in basis], betas, field)
+    return coords if rank == len(basis) else None
 
 
 def _minors(coords: Sequence[Sequence[int]], rank: int, q: int) -> dict:

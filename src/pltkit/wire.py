@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .engine import Database, QueryBundle, ServerQuery, server_answer
-from .fields import NotPrime, field_new
+from .fields import field_new
 from .plan import QueryTerms
 
 MAGIC = b"PLT1"
@@ -197,8 +197,7 @@ def decode_error(payload: bytes) -> tuple[int, str]:
 
 def encode_database(db: Database) -> bytes:
     head = struct.pack("<QII", db.field.q, db.k, db.s)
-    body = b"".join(struct.pack(f"<{db.s}Q", *row) for row in db.rows)
-    return _frame(MSG_LOAD_DB, head + body)
+    return _frame(MSG_LOAD_DB, head + db.rows.astype("<u8").tobytes())
 
 
 def decode_database(payload: bytes) -> Database:
@@ -207,16 +206,15 @@ def decode_database(payload: bytes) -> Database:
     k, s = rd.u32(), rd.u32()
     if k < 1 or s < 1:
         raise Malformed(f"implausible database shape ({k}, {s})")
-    flat = rd.u64_many(k * s)
+    offset = rd.pos
+    rd.pos += 8 * k * s
     rd.done()
+    symbols = np.frombuffer(payload, "<u8", k * s, offset).reshape(k, s)
     try:
-        field = field_new(q)
-    except NotPrime as exc:
-        raise Malformed(f"database modulus: {exc}") from None
-    if max(flat) >= q:
-        raise Malformed("database symbol not reduced")
-    rows = tuple(flat[i * s:(i + 1) * s] for i in range(k))
-    return Database(rows, field)
+        # Database copies the symbols, so it never aliases the payload buffer
+        return Database(symbols, field_new(q))
+    except ValueError as exc:  # NotPrime, or a symbol not reduced mod q
+        raise Malformed(f"database: {exc}") from None
 
 
 def _read_upto(stream, n: int) -> bytearray:
@@ -262,11 +260,15 @@ class _TcpServer(socketserver.ThreadingTCPServer):
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    # seconds a connection may stay silent (or leave a reply unread) before
+    # the server hangs up; StreamRequestHandler sets it on the socket
+    timeout = 30.0
+
     def handle(self):
         while True:
             try:
                 msg_type, payload = read_frame(self.rfile)
-            except EOFError:
+            except (EOFError, OSError):  # a clean close, a reset or the idle timeout
                 return
             except (Malformed, Overflow) as exc:
                 self._send(encode_error(ERR_BAD_REQUEST, str(exc)))

@@ -8,15 +8,18 @@ must write an identical transcript.
 """
 
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
 from pltkit.cli import main
-from pltkit.engine import Database, derive_rng, required_symbols
+from pltkit.engine import (Database, build_query, derive_rng, recover_demand,
+                           required_symbols)
 from pltkit.fields import field_new
-from pltkit.wire import PltServer
+from pltkit.grs import Demand
+from pltkit.wire import PltServer, client_run
 
 
 def run_main(capsys, argv):
@@ -170,6 +173,37 @@ def test_run_tcp_matches_local_transcript(capsys, tmp_path):
     assert code == 0
     assert "recovery check: skipped (remote database)" in out
     assert tcp_path.read_text() == local_path.read_text()
+
+
+def test_serve_db_file_answers_for_the_reduced_messages(tmp_path):
+    """Two ``plt serve --db`` processes over a JSON database holding a
+    negative and an unreduced entry serve its messages reduced mod q."""
+    q, k, s = 5, 3, 8
+    messages = [[(3 * j + i) % q for i in range(s)] for j in range(k)]
+    messages[0][1], messages[2][5] = -3, 14
+    path = tmp_path / "db.json"
+    path.write_text(json.dumps({"q": q, "messages": messages}))
+    demand = Demand((1, 3), (2, 4), field_new(q))
+    bundle = build_query(demand, k, 2, random.Random(4))
+    servers = []
+    try:
+        addresses = []
+        for _ in range(2):
+            servers.append(subprocess.Popen(
+                [sys.executable, "-m", "pltkit", "serve", "--db", str(path),
+                 "--bind", "127.0.0.1:0"], stdout=subprocess.PIPE, text=True))
+            line = servers[-1].stdout.readline()
+            assert line.startswith("serving on "), line
+            host, _, port = line.split()[2].rpartition(":")
+            addresses.append((host, int(port)))
+        recovered = recover_demand(bundle, client_run(addresses, bundle))
+    finally:
+        for proc in servers:
+            proc.terminate()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+    assert recovered == [(2 * (a % q) + 4 * (b % q)) % q
+                         for a, b in zip(messages[0], messages[2])]
 
 
 # ----------------------------------------------------------------- audit

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from pltkit.capacity import pir_psi_capacity, plt_capacity_L1
@@ -32,14 +33,25 @@ def random_run(n, k, d, q, seed):
 
 def test_database_validation():
     Database(((0, 1), (2, 3)), GF5)
+    for bad in [(), ((),),                 # empty
+                ((0, 1), (2,)),            # ragged
+                (((0, 1), (2, 3)),),       # 3-D
+                ((0, -1),),                # negative
+                ((0, 5),), ((2 ** 70,),),  # not reduced
+                np.array([[0, 4], [5, 1]])]:
+        with pytest.raises(ValueError):
+            Database(bad, GF5)
+
+
+def test_database_is_one_read_only_array():
+    src = np.array([[0, 1, 2], [3, 4, 0]])
+    db = Database(src, GF5)
+    assert db.rows.dtype == np.int64 and db.rows.shape == (2, 3) == (db.k, db.s)
     with pytest.raises(ValueError):
-        Database((), GF5)
-    with pytest.raises(ValueError):
-        Database(((0, 1), (2,)), GF5)  # ragged
-    with pytest.raises(ValueError):
-        Database(((0, 5),), GF5)  # not reduced
-    with pytest.raises(ValueError):
-        Database(((0, -1),), GF5)
+        db.rows[0, 0] = 1
+    src[0, 0] = 4  # the database holds its own copy
+    assert db.rows[0, 0] == 0
+    assert np.array_equal(Database(((0, 1, 2), (3, 4, 0)), GF5).rows, db.rows)
 
 
 def test_database_random_shape():
@@ -216,9 +228,26 @@ def test_combination_stream_and_mds_check():
     assert not mds_check(db, demand, [0] * 4)
 
 
+def test_combination_stream_at_the_largest_modulus():
+    """D = 3 products of symbols near q - 1 pass 2**63 before reduction; the
+    stream must still equal a Python-int reference."""
+    q = 2 ** 31 - 1
+    field = field_new(q)
+    rng = random.Random(3)
+    rows = tuple(tuple(q - 1 - rng.randrange(4) for _ in range(6)) for _ in range(4))
+    db = Database(rows, field)
+    demand = Demand((1, 2, 4), (q - 1, q - 2, q - 3), field)
+    expect = [sum(c * rows[i - 1][s] for i, c in zip(demand.support, demand.coeffs)) % q
+              for s in range(6)]
+    assert combination_stream(db, demand) == expect
+    assert mds_check(db, demand, expect)
+    assert not mds_check(db, demand, expect[:-1] + [(expect[-1] + 1) % q])
+
+
 # ------------------------------------------------------- side-info wrappers
 
-@pytest.mark.parametrize("n,k,d,q", [(2, 3, 2, 5), (2, 4, 3, 7), (3, 4, 2, 5)])
+@pytest.mark.parametrize("n,k,d,q", [(2, 3, 2, 5), (2, 4, 3, 7), (3, 4, 2, 5),
+                                     (2, 3, 3, 2 ** 31 - 1)])
 def test_side_info_wrapper_recovers_the_message(n, k, d, q):
     field = field_new(q)
     for seed in range(4):

@@ -29,6 +29,8 @@ def test_perfbench_self_check():
 @pytest.mark.parametrize("script,line", [
     ("demos/walkthrough.py", "recovery check: PASS"),
     ("demos/tcp_roundtrip.py", "transcripts identical: True"),
+    ("demos/rate_grid.py", "rates matched the closed form and every demand decoded"),
+    ("demos/capacity_tables.py", "  3   4   4   4         1  converse/near-full-support"),
 ])
 def test_demo_runs(script, line):
     assert line in run_script(script)

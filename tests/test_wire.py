@@ -4,6 +4,7 @@ import socket
 import struct
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -171,12 +172,31 @@ def test_error_round_trip():
     assert decode_error(payload) == (3, "shape off")
 
 
+# Frozen frame: Database.random(GF5, 3, 8, Random(4)), one u64 per symbol.
+GOLDEN_DATABASE_HEX = (
+    "504c543104d00000000500000000000000030000000800000001000000000000"
+    "0002000000000000000000000000000000030000000000000003000000000000"
+    "0001000000000000000000000000000000000000000000000000000000000000"
+    "0003000000000000000400000000000000020000000000000000000000000000"
+    "0001000000000000000400000000000000040000000000000002000000000000"
+    "0002000000000000000100000000000000000000000000000002000000000000"
+    "00010000000000000000000000000000000200000000000000"
+)
+
+
 def test_database_round_trip():
     db = Database.random(GF5, 3, 8, random.Random(4))
-    _, payload = read_frame(io.BytesIO(encode_database(db)))
+    frame = encode_database(db)
+    assert frame.hex() == GOLDEN_DATABASE_HEX
+    _, payload = read_frame(io.BytesIO(frame))
     back = decode_database(payload)
-    assert back.rows == db.rows
+    assert np.array_equal(back.rows, db.rows)
     assert back.field.q == 5
+    # the decoded database owns its symbols: overwriting the bytearray it
+    # came from, as a reused read buffer would be, leaves it unchanged
+    assert isinstance(payload, bytearray)
+    payload[16:] = b"\xff" * (len(payload) - 16)
+    assert np.array_equal(back.rows, db.rows)
 
 
 # -------------------------------------------------------------- bad frames
@@ -358,6 +378,19 @@ def test_server_hangs_up_on_framing_garbage():
             msg_type, payload = read_frame(stream)
             assert msg_type == wire.MSG_ERROR
             assert stream.read(1) == b""  # connection closed behind the error
+
+
+def test_server_drops_an_idle_connection_and_keeps_serving(monkeypatch, capsys):
+    assert wire._Handler.timeout > 0  # every connection has an idle bound
+    monkeypatch.setattr(wire._Handler, "timeout", 0.2)
+    db = Database.random(GF5, 3, 8, random.Random(6))
+    bundle = small_bundle(seed=6)
+    with PltServer(db) as srv:
+        with socket.create_connection(srv.address, timeout=10) as idle:
+            assert idle.recv(1) == b""  # hung up on, with nothing sent
+        answers = client_run([srv.address] * 2, bundle)
+    assert answers == [server_answer(sq, db) for sq in bundle.server_queries]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_client_run_validates_address_count():
