@@ -18,14 +18,14 @@ import socketserver
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from itertools import groupby
+from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .engine import Database, QueryBundle, ServerQuery, server_answer
 from .fields import field_new
-from .plan import QueryTerms
+from .plan import DEFAULT_LIMITS, QueryTerms
 
 MAGIC = b"PLT1"
 MSG_QUERY = 0x01
@@ -65,10 +65,19 @@ class RemoteError(RuntimeError):
         self.message = message
 
 
-def _frame(msg_type: int, payload: bytes) -> bytes:
-    if len(payload) > MAX_PAYLOAD:
-        raise Overflow(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
-    return MAGIC + bytes([msg_type]) + struct.pack("<I", len(payload)) + payload
+def _new_frame(msg_type: int, length: int) -> bytearray:
+    """A frame of ``length`` payload bytes, zeroed, with its head written."""
+    if length > MAX_PAYLOAD:
+        raise Overflow(f"payload of {length} bytes exceeds {MAX_PAYLOAD}")
+    frame = bytearray(9 + length)
+    struct.pack_into("<4sBI", frame, 0, MAGIC, msg_type, length)
+    return frame
+
+
+def _frame(msg_type: int, payload: bytes) -> bytearray:
+    frame = _new_frame(msg_type, len(payload))
+    frame[9:] = payload
+    return frame
 
 
 class _Reader:
@@ -108,26 +117,38 @@ def _row_dtype(t: int) -> np.dtype:
                      ("terms", [("func", "<u4"), ("sym", "<u4"), ("coeff", "<u8")], (t,))])
 
 
-def encode_query(sq: ServerQuery) -> bytes:
+def encode_query(sq: ServerQuery) -> bytearray:
     r, f_count = sq.r, sq.f_count
-    parts = [struct.pack("<QIIII", sq.q, sq.k, sq.s, r, f_count)]
-    parts.append(struct.pack(f"<{r * sq.k}Q", *(v for row in sq.q_vectors for v in row)))
-    parts.append(struct.pack(f"<{f_count * r}Q", *(v for row in sq.betas for v in row)))
-    parts.append(struct.pack("<I", len(sq.expressions)))
+    frame = _new_frame(MSG_QUERY, query_frame_size(sq) - 9)
+    vectors = [v for rows in (sq.q_vectors, sq.betas) for row in rows for v in row]
+    head = f"<QIIII{len(vectors)}QI"
+    struct.pack_into(head, frame, 9, sq.q, sq.k, sq.s, r, f_count, *vectors,
+                     len(sq.expressions))
+    offset = 9 + struct.calcsize(head)
     for funcs, syms, coeffs in sq.expressions.blocks:
-        rows = np.empty(len(funcs), _row_dtype(funcs.shape[1]))
+        rows = np.frombuffer(frame, _row_dtype(funcs.shape[1]), len(funcs), offset)
         rows["count"] = funcs.shape[1]
         terms = rows["terms"]
         terms["func"], terms["sym"], terms["coeff"] = funcs, syms, coeffs
-        parts.append(rows.tobytes())
-    return _frame(MSG_QUERY, b"".join(parts))
+        offset += rows.nbytes
+    return frame
 
 
 def query_frame_size(sq: ServerQuery) -> int:
-    """``len(encode_query(sq))``, counted without encoding."""
+    """The length of ``encode_query(sq)``, which allocates the frame by it."""
     return (9 + 24 + 8 * sq.r * sq.k + 8 * sq.f_count * sq.r + 4
             + sum(funcs.shape[0] * (4 + 16 * funcs.shape[1])
                   for funcs, _, _ in sq.expressions.blocks))
+
+
+def _honest_shape(k: int, s: int, r: int, f_count: int) -> bool:
+    """Whether an honest client can send this header: F = C(k, k - r + 1)
+    functions, at most the default limit, over S = N^F symbols."""
+    # C(k, m) >= 2^m > m for 1 <= m <= k/2, so m <= F spares a huge comb
+    m = min(r - 1, k - r + 1)
+    return (1 <= r <= k and f_count <= DEFAULT_LIMITS.max_functions
+            and m <= f_count and comb(k, m) == f_count
+            and s >= 1 and round(s ** (1 / f_count)) ** f_count == s)
 
 
 def decode_query(payload: bytes) -> ServerQuery:
@@ -135,27 +156,36 @@ def decode_query(payload: bytes) -> ServerQuery:
     q = rd.u64()
     k, s, r, f_count = rd.u32(), rd.u32(), rd.u32(), rd.u32()
     # terms are held as int64, so q must stay below 2**63
-    if not 2 <= q < 2 ** 63 or k < 1 or s < 1 or not (1 <= r <= k) or f_count < 1:
+    if not 2 <= q < 2 ** 63 or not _honest_shape(k, s, r, f_count):
         raise Malformed(f"implausible header (q={q}, k={k}, s={s}, r={r}, f={f_count})")
-    flat = rd.u64_many(r * k)
-    q_vectors = tuple(flat[i * k:(i + 1) * k] for i in range(r))
-    flat = rd.u64_many(f_count * r)
-    betas = tuple(flat[i * r:(i + 1) * r] for i in range(f_count))
+    offset = rd.pos
+    rd.pos += 8 * r * (k + f_count)
     n_expr = rd.u32()
-    # one pass over the row headers, then one array view per run of equal
-    # term counts
-    offset, counts = rd.pos, []
-    for _ in range(n_expr):
-        n_terms = rd.u32()
-        if n_terms < 1 or n_terms > f_count:
-            raise Malformed(f"expression with {n_terms} terms")
-        counts.append(n_terms)
-        rd.pos += 16 * n_terms  # the next read or done() catches a short payload
-    rd.done()
-    blocks = []
-    for t, run in groupby(counts):
-        rows = np.frombuffer(payload, _row_dtype(t), len(list(run)), offset)
-        offset += rows.nbytes
+    vectors = np.frombuffer(payload, "<u8", r * (k + f_count), offset)
+    if (vectors >= q).any():
+        raise Malformed("query vector or coefficient entry not reduced")
+    blocks, end = [], len(payload)
+    while n_expr:
+        t = rd.u32()
+        if t < 1 or t > f_count:
+            raise Malformed(f"expression with {t} terms")
+        start, stride = rd.pos - 4, 4 + 16 * t
+        # row i of a run of t-term rows has its count at start + i * stride;
+        # the run ends at the first count that is not t.  Windows double, so
+        # a run of n rows costs O(n) and short runs stay cheap.
+        fit = min(n_expr, (end - start) // stride)
+        if fit == 0:
+            raise Malformed("payload truncated")
+        run, width = 1, 1
+        while run < fit:
+            width = min(width, fit - run)
+            counts = np.ndarray((width,), "<u4", payload, start + run * stride, (stride,))
+            off = np.flatnonzero(counts != t)
+            if off.size:
+                run += int(off[0])
+                break
+            run, width = run + width, 2 * width
+        rows = np.frombuffer(payload, _row_dtype(t), run, start)
         terms = rows["terms"]
         funcs, syms, coeffs = terms["func"], terms["sym"], terms["coeff"]
         if (funcs >= f_count).any() or (syms >= s).any() or not (
@@ -163,17 +193,17 @@ def decode_query(payload: bytes) -> ServerQuery:
             raise Malformed("expression term out of range")
         blocks.append((funcs.astype(np.int64), syms.astype(np.int64),
                        coeffs.astype(np.int64)))
-    if any(v >= q for row in q_vectors for v in row):
-        raise Malformed("query vector entry not reduced")
-    if any(v >= q for row in betas for v in row):
-        raise Malformed("coefficient entry not reduced")
+        rd.pos, n_expr = start + rows.nbytes, n_expr - run
+    rd.done()
+    q_vectors = tuple(map(tuple, vectors[:r * k].reshape(r, k).tolist()))
+    betas = tuple(map(tuple, vectors[r * k:].reshape(f_count, r).tolist()))
     return ServerQuery(q, k, s, q_vectors, betas, QueryTerms(tuple(blocks)))
 
 
-def encode_answer(symbols: Sequence[int]) -> bytes:
-    payload = struct.pack("<I", len(symbols)) + struct.pack(
-        f"<{len(symbols)}Q", *symbols)
-    return _frame(MSG_ANSWER, payload)
+def encode_answer(symbols: Sequence[int]) -> bytearray:
+    frame = _new_frame(MSG_ANSWER, 4 + 8 * len(symbols))
+    struct.pack_into(f"<I{len(symbols)}Q", frame, 9, len(symbols), *symbols)
+    return frame
 
 
 def decode_answer(payload: bytes) -> tuple[int, ...]:
@@ -184,7 +214,7 @@ def decode_answer(payload: bytes) -> tuple[int, ...]:
     return symbols
 
 
-def encode_error(code: int, message: str) -> bytes:
+def encode_error(code: int, message: str) -> bytearray:
     return _frame(MSG_ERROR, struct.pack("<I", code) + message.encode("utf-8"))
 
 
@@ -195,9 +225,12 @@ def decode_error(payload: bytes) -> tuple[int, str]:
     return code, text
 
 
-def encode_database(db: Database) -> bytes:
-    head = struct.pack("<QII", db.field.q, db.k, db.s)
-    return _frame(MSG_LOAD_DB, head + db.rows.astype("<u8").tobytes())
+def encode_database(db: Database) -> bytearray:
+    k, s = db.rows.shape
+    frame = _new_frame(MSG_LOAD_DB, 16 + 8 * k * s)
+    struct.pack_into("<QII", frame, 9, db.field.q, k, s)
+    np.frombuffer(frame, "<u8", k * s, 25).reshape(k, s)[...] = db.rows
+    return frame
 
 
 def decode_database(payload: bytes) -> Database:
@@ -217,16 +250,16 @@ def decode_database(payload: bytes) -> Database:
         raise Malformed(f"database: {exc}") from None
 
 
-def _read_upto(stream, n: int) -> bytearray:
-    """Up to ``n`` bytes, fewer only if the stream ends.  The buffer grows
-    as bytes arrive, so a declared length costs no memory until it is sent."""
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = stream.read(min(n - len(buf), _READ_CHUNK))
-        if not chunk:
-            break
-        buf += chunk
-    return buf
+def _fill(stream, buf: bytearray, filled: int) -> int:
+    """Read into ``buf[filled:]`` until it is full or the stream ends;
+    returns the count of bytes now in ``buf``."""
+    with memoryview(buf) as view:
+        while filled < len(buf):
+            got = stream.readinto(view[filled:])
+            if not got:
+                break
+            filled += got
+    return filled
 
 
 def read_frame(stream) -> tuple[int, bytearray]:
@@ -234,20 +267,26 @@ def read_frame(stream) -> tuple[int, bytearray]:
 
     EOFError on clean end-of-stream before any byte of a frame; Malformed on
     a torn or alien frame; Overflow when the declared length is over budget.
+    The payload buffer starts at 1 MiB at most and doubles as it fills, so a
+    declared length costs no memory until its bytes arrive.
     """
-    head = _read_upto(stream, 9)
-    if len(head) == 0:
+    head = bytearray(9)
+    got = _fill(stream, head, 0)
+    if got == 0:
         raise EOFError
-    if len(head) < 9:
+    if got < 9:
         raise Malformed("short frame header")
-    if head[:4] != MAGIC:
+    magic, msg_type, length = struct.unpack("<4sBI", head)
+    if magic != MAGIC:
         raise Malformed("bad magic")
-    msg_type = head[4]
-    (length,) = struct.unpack("<I", head[5:9])
     if length > MAX_PAYLOAD:
         raise Overflow(f"frame of {length} bytes exceeds {MAX_PAYLOAD}")
-    payload = _read_upto(stream, length)
-    if len(payload) < length:
+    payload = bytearray(min(length, _READ_CHUNK))
+    filled = _fill(stream, payload, 0)
+    while filled == len(payload) < length:
+        payload.extend(bytes(min(len(payload), length - len(payload))))
+        filled = _fill(stream, payload, filled)
+    if filled < length:
         raise Malformed("stream ended mid-payload")
     return msg_type, payload
 

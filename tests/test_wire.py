@@ -120,6 +120,40 @@ def test_interleaved_term_counts_round_trip():
         sum(c * int(y[g, sym]) for g, sym, c in e.terms) % 5 for e in back.expressions]
 
 
+def rows_payload(sq, rows):
+    """``sq``'s header and vectors, then ``rows`` of (func, sym, coeff) terms."""
+    head = encode_query(sq)[9:9 + 24 + 8 * (sq.r * sq.k + sq.f_count * sq.r)]
+    return bytes(head) + struct.pack("<I", len(rows)) + b"".join(
+        struct.pack("<I", len(row)) + b"".join(struct.pack("<IIQ", *term) for term in row)
+        for row in rows)
+
+
+def term_counts():
+    """Per-row term counts in [1, 3]: in any order, alternating, or in runs."""
+    count = st.integers(1, 3)
+    alternating = st.builds(lambda a, b, n: [a, b] * n, count, count, st.integers(1, 40))
+    runs = st.lists(st.tuples(count, st.integers(1, 70)), max_size=6).map(
+        lambda runs: [t for t, n in runs for _ in range(n)])
+    return st.one_of(st.lists(count, max_size=60), alternating, runs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts=term_counts(), data=st.data())
+def test_any_term_count_order_round_trips(counts, data):
+    """Rows of any term counts in any order decode to the rows sent and
+    encode back byte for byte; every truncation is Malformed."""
+    sq = small_bundle().server_queries[0]  # k=3, r=2, F=3, s=8, q=5
+    term = st.tuples(st.integers(0, 2), st.integers(0, 7), st.integers(1, 4))
+    rows = [tuple(data.draw(st.lists(term, min_size=t, max_size=t))) for t in counts]
+    payload = rows_payload(sq, rows)
+    back = decode_query(payload)
+    assert [e.terms for e in back.expressions] == rows
+    assert encode_query(back) == wire._frame(wire.MSG_QUERY, payload)
+    cut = data.draw(st.integers(0, len(payload) - 1))
+    with pytest.raises((Malformed, Overflow)):
+        decode_query(payload[:cut])
+
+
 class OneByteStream(io.RawIOBase):
     """Hands out at most one byte per read, like a slow socket."""
 
@@ -159,6 +193,35 @@ def test_read_frame_allocates_as_bytes_arrive():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 1024 * 1024
+
+
+def traced_peak(fn):
+    """(fn(), the tracemalloc peak while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_frames_are_built_and_read_in_one_buffer():
+    """Encoding a push or a query and reading a push allocate about one
+    frame, not the copies that concatenation and chunked reads would."""
+    db = Database(np.arange(12 * 4096).reshape(12, 4096) % 13, field_new(13))
+    frame, peak = traced_peak(lambda: encode_database(db))
+    assert peak <= 1.1 * len(frame)
+    stream = io.BytesIO(bytes(frame))
+    (_, payload), peak = traced_peak(lambda: read_frame(stream))
+    assert peak <= 1.1 * len(frame) and payload == frame[9:]
+    sq = build_query(Demand(tuple(range(1, 12)), (1,) * 11, field_new(13)), 12, 2,
+                     random.Random(1)).server_queries[0]
+    frame, peak = traced_peak(lambda: encode_query(sq))
+    assert peak <= 1.1 * len(frame) and len(frame) == query_frame_size(sq)
+    # past the first 1 MiB the read buffer doubles until the frame fits
+    big = encode_database(Database(np.ones((12, 40000), np.int64), GF5))
+    _, payload = read_frame(io.BytesIO(bytes(big)))
+    assert payload == big[9:]
 
 
 def test_answer_round_trip():
@@ -250,6 +313,21 @@ def test_decode_query_rejects_unreduced_entries():
     struct.pack_into("<Q", good, 24, 7)  # first query-vector entry, q = 5
     with pytest.raises(Malformed):
         decode_query(bytes(good))
+
+
+# (k, s, r, F) headers no honest client sends: F != C(k, k - r + 1), F over
+# the default limit of 20, S not N^F, S = 0, r outside [1, k], and a k and
+# r whose C(k, k - r + 1) would take too long to compute
+DISHONEST_SHAPES = [(12, 4096, 1, 1600), (3, 8, 2, 4), (21, 2 ** 21, 2, 21),
+                    (3, 9, 2, 3), (3, 0, 2, 3), (3, 8, 4, 3), (3, 8, 0, 3),
+                    (2 ** 32 - 1, 8, 2 ** 31, 3)]
+
+
+@pytest.mark.parametrize("k, s, r, f_count", DISHONEST_SHAPES)
+def test_decode_query_refuses_dishonest_headers(k, s, r, f_count):
+    """Refused from the header alone, before any vector is read."""
+    with pytest.raises(Malformed, match="implausible header"):
+        decode_query(struct.pack("<QIIII", 13, k, s, r, f_count))
 
 
 def test_decode_database_rejects_bad_modulus_and_symbols():
@@ -367,6 +445,23 @@ def test_server_survives_semantic_errors_on_one_connection():
             assert msg_type == wire.MSG_ANSWER
             assert list(decode_answer(payload)) == server_answer(
                 bundle.server_queries[0], db)
+
+
+def test_server_refuses_a_header_with_many_functions():
+    """A 12,924-byte query declaring F = 1,600 and no rows costs the server
+    less memory than its database, and gets a bad-request error."""
+    db = Database.random(field_new(13), 12, 4096, random.Random(3))
+    payload = (struct.pack("<QIIII", 13, 12, 4096, 1, 1600)
+               + bytes(8 * (12 + 1600)) + struct.pack("<I", 0))
+    assert len(payload) == 12924
+    _, peak = traced_peak(lambda: pytest.raises(Malformed, decode_query, payload))
+    assert peak < db.rows.nbytes
+    with PltServer(db) as srv:
+        with socket.create_connection(srv.address, timeout=10) as sock:
+            sock.sendall(wire._frame(wire.MSG_QUERY, payload))
+            msg_type, reply = read_frame(sock.makefile("rb"))
+    assert msg_type == wire.MSG_ERROR
+    assert decode_error(reply)[0] == wire.ERR_BAD_REQUEST
 
 
 def test_server_hangs_up_on_framing_garbage():
